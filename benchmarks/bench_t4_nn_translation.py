@@ -3,7 +3,7 @@ rows (CPU; GPU rows are not reproducible here)."""
 import pytest
 
 from repro.datasets import hospital
-from repro.experiments.common import chunked_graph_run
+from repro.ir.ops import graph_output
 from repro.onnxlite import InferenceSession
 from repro.onnxlite.convert import pipeline_to_graph
 
@@ -23,7 +23,7 @@ def test_rf_vectorized(benchmark, hosp_forest, n):
 def test_rf_nn_cpu(benchmark, hosp_forest, sess, n):
     data = hospital.joined_frame(n, seed=105, with_label=False)
     benchmark.pedantic(
-        lambda: chunked_graph_run(sess, hosp_forest.featurizer, data),
+        lambda: graph_output(sess.run, hosp_forest.featurizer, data, "proba"),
         rounds=5, warmup_rounds=1,
     )
 

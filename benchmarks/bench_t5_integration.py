@@ -3,10 +3,11 @@ rows (featurize+RF pipeline compiled to a stored graph model)."""
 import pytest
 
 from repro.datasets import flights
-from repro.experiments.common import chunked_graph_run
-from repro.onnxlite import InferenceSession, clear_session_cache
+from repro.experiments.t5_integration import raven_predict
+from repro.ir.ops import graph_output
+from repro.onnxlite import InferenceSession
 from repro.onnxlite.convert import pipeline_to_graph
-from repro.runtime.executors import raven_ext, raven_inprocess
+from repro.runtime.executors import raven_ext
 from repro.runtime.model_store import ModelStore
 from repro.runtime.timing import force
 
@@ -19,22 +20,21 @@ def stored(fl_forest, tmp_path_factory):
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
-def test_ort_standalone_cold(benchmark, stored, n):
+def test_ort_cold(benchmark, stored, n):
     pipe, path = stored
     pdf = flights.frame(n, seed=106)
     benchmark.pedantic(
-        lambda: chunked_graph_run(InferenceSession(path), pipe.featurizer, pdf),
+        lambda: graph_output(InferenceSession(path).run, pipe.featurizer, pdf, "proba"),
         rounds=3, warmup_rounds=1,
     )
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
-def test_raven_inprocess_warm(benchmark, spark, stored, n):
-    pipe, path = stored
-    clear_session_cache()
+def test_raven_predict_warm(benchmark, spark, stored, n):
+    pipe, _ = stored
     sdf = spark.createDataFrame(flights.frame(n, seed=106)).cache()
     sdf.count()
-    out = raven_inprocess(sdf, path, pipe.featurizer, "p", kind="proba")
+    out = raven_predict(spark, sdf, "rf", pipe)
     benchmark.pedantic(lambda: force(out), rounds=3, warmup_rounds=1)
     sdf.unpersist()
 

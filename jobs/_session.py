@@ -24,5 +24,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        # no "[Stage N:>" progress bars in the jobs' captured stderr
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -10,7 +10,8 @@ are not reproducible here — no GPU in the container (see DESIGN.md).
 from __future__ import annotations
 
 from repro.datasets import hospital
-from repro.experiments.common import chunked_graph_run, hospital_forest_pipeline
+from repro.experiments.common import hospital_forest_pipeline
+from repro.ir.ops import graph_output
 from repro.onnxlite import InferenceSession
 from repro.onnxlite.convert import pipeline_to_graph
 from repro.runtime.timing import measure
@@ -36,7 +37,8 @@ def run(sizes: list[int] | None = None, n_train: int = 20_000, seed: int = 0,
         data = hospital.joined_frame(n, seed=seed + 17, with_label=False)
         rf = measure(lambda: pipe.predict_proba(data), warmup=1, runs=runs)
         nn = measure(
-            lambda: chunked_graph_run(sess, pipe.featurizer, data), warmup=1, runs=runs
+            lambda: graph_output(sess.run, pipe.featurizer, data, "proba"),
+            warmup=1, runs=runs,
         )
         row = {
             "rows": n,

@@ -6,11 +6,15 @@ execution modes of §5:
 
 * **ORT** (standalone engine): one process; each run loads the model
   from disk cold — the paper's methodology counts model-load time per
-  run — then scores the batch.
-* **Raven** (in-process PREDICT): Spark ``mapInPandas`` with
-  executor-cached sessions; warm runs never reload the model, and Spark
-  parallelizes scan+predict across all cores automatically — the two
-  effects behind Fig. 3's observations (ii) and (iii).
+  run — then scores the batch through ``graph_output``. ``ort_warm``
+  scores through a cached session (``get_cached_session``): the
+  session-caching effect in isolation.
+* **Raven** (in-process PREDICT): ``Raven`` over the cached ``flights``
+  table runs ``SELECT flight_id, PREDICT(MODEL m) AS p FROM flights``
+  with NN translation on. The codegen's ``mapInPandas`` ships the
+  compiled graph in the task closure, so no query reloads the model
+  from disk, and Spark parallelizes scan+predict across all cores — the
+  two effects behind Fig. 3's observations (ii) and (iii).
 * **Raven Ext** (out-of-process external script): a fresh Python
   interpreter per query with Parquet data transfer — the ~0.5 s
   constant overhead of observation (iv).
@@ -21,17 +25,18 @@ Raven Ext constant ~0.5 s behind.
 """
 from __future__ import annotations
 
-import os
+from pyspark.sql import DataFrame
 
 from repro.datasets import flights
-from repro.experiments.common import (
-    chunked_graph_run,
-    flights_forest_pipeline,
-    flights_mlp_pipeline,
-)
-from repro.onnxlite import InferenceSession, clear_session_cache
+from repro.experiments.common import flights_forest_pipeline, flights_mlp_pipeline
+from repro.ir import Catalog
+from repro.ir.ops import graph_output
+from repro.onnxlite import InferenceSession, get_cached_session
 from repro.onnxlite.convert import pipeline_to_graph
-from repro.runtime.executors import ort_standalone, raven_ext, raven_inprocess
+from repro.optimizer import CrossOptimizer, default_rules
+from repro.optimizer.nn_translate import NNTranslation
+from repro.raven import Raven
+from repro.runtime.executors import raven_ext
 from repro.runtime.model_store import ModelStore
 from repro.runtime.timing import force, measure
 
@@ -51,6 +56,19 @@ def _store_models(root: str, n_train: int, seed: int) -> dict:
     return out
 
 
+def raven_predict(spark, sdf: DataFrame, name: str, pipe) -> DataFrame:
+    """Raven's PREDICT of model ``name`` over ``sdf`` as table
+    ``flights``, NN-translated: the Raven column of Fig. 3."""
+    raven = Raven(
+        spark=spark,
+        catalog=Catalog().add_table("flights", sdf.columns, {"flight_id"}),
+        tables={"flights": sdf},
+        optimizer=CrossOptimizer(default_rules() + [NNTranslation()]),
+    )
+    raven.register_model(name, pipe, kind="proba")
+    return raven.run(f"SELECT flight_id, PREDICT(MODEL {name}) AS p FROM flights")
+
+
 def run(spark, store_root: str, sizes: list[int] | None = None,
         n_train: int = 50_000, seed: int = 0, runs: int = 3,
         models: list[str] | None = None) -> list[dict]:
@@ -58,7 +76,6 @@ def run(spark, store_root: str, sizes: list[int] | None = None,
     rows = []
     for model_name in models or ["rf", "mlp"]:
         pipe, path = artifacts[model_name]
-        kind = "proba" if model_name == "mlp" else "value"
         for n in sizes or SIZES:
             pdf = flights.frame(n, seed=seed + 23)
             sdf = spark.createDataFrame(pdf).cache()
@@ -66,26 +83,20 @@ def run(spark, store_root: str, sizes: list[int] | None = None,
 
             # ORT standalone: cold session per run (paper methodology)
             def ort():
-                sess = InferenceSession(path)
-                return chunked_graph_run(sess, pipe.featurizer, pdf)
+                return graph_output(InferenceSession(path).run, pipe.featurizer, pdf, "proba")
 
             # the session-caching effect in isolation (what in-DB model
             # caching buys — Fig. 3 observation (ii)): same engine, warm
-            from repro.onnxlite import get_cached_session
-
             def ort_warm():
-                sess = get_cached_session(path)
-                return chunked_graph_run(sess, pipe.featurizer, pdf)
+                return graph_output(get_cached_session(path).run, pipe.featurizer, pdf, "proba")
 
-            # Raven in-process: warm executor-cached sessions
-            out_df = raven_inprocess(sdf, path, pipe.featurizer, "p", kind="proba")
+            out_df = raven_predict(spark, sdf, model_name, pipe)
 
             def raven():
                 force(out_df)
 
             t_ort = measure(ort, warmup=1, runs=runs)
             t_ort_warm = measure(ort_warm, warmup=1, runs=runs)
-            clear_session_cache()
             t_raven = measure(raven, warmup=1, runs=runs)
             row = {
                 "model": model_name, "rows": n,

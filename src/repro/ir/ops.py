@@ -6,9 +6,12 @@ rules can rewrite them (prune a tree, slice a weight vector, fold a
 one-hot block): that is the whole point of a *unified* IR — the
 optimizer sees model internals and data operators in one DAG.
 
-Every predict-style node implements ``predict_pandas(pdf) -> np.ndarray``
-— the single place its semantics live. The Spark codegen wraps it in
-``mapInPandas``; tests call it directly; the per-tuple baseline loops it.
+Every predict-style node implements ``predict_pandas(pdf) -> np.ndarray``.
+What a predict emits for each ``kind`` is written once per physical
+form: ``pipeline_output`` for a miniml pipeline and ``graph_output`` for
+an onnxlite graph. Predict nodes, the Spark codegen (``mapInPandas``
+over ``predict_pandas``), the external-script worker and the standalone
+engine runs of the experiments all go through these two functions.
 """
 from __future__ import annotations
 
@@ -136,8 +139,59 @@ class Union(PlanNode):
         return f"Union({len(self.children)})"
 
 
-def _series(values: np.ndarray, name: str) -> pd.DataFrame:
-    return pd.DataFrame({name: values})
+# Graph scoring runs in chunks of this many rows: GEMM-compiled forests
+# materialize a (rows × leaves) indicator per tree. Spark's Arrow batches
+# (10K rows) are always a single chunk.
+GRAPH_CHUNK_ROWS = 50_000
+
+
+def pipeline_output(pipeline, pdf: pd.DataFrame, kind: str) -> np.ndarray:
+    """Predict-output contract, pipeline form: ``label`` (predicted
+    class / regression value), ``proba`` (P[class 1]) or ``score``
+    (margin), as float64."""
+    if kind == "label":
+        return np.asarray(pipeline.predict(pdf), dtype=np.float64)
+    if kind == "proba":
+        return pipeline.predict_proba(pdf)[:, 1]
+    if kind == "score":
+        return np.asarray(pipeline.decision_function(pdf), dtype=np.float64)
+    raise ValueError(f"bad kind {kind!r}")
+
+
+def graph_output(run, featurizer, pdf: pd.DataFrame, kind: str,
+                 classes=None) -> np.ndarray:
+    """Predict-output contract, graph form. ``run`` maps feeds to graph
+    outputs (``Graph.run`` or ``InferenceSession.run``); ``featurizer``
+    builds the feeds (``transform_codes``). Tree/forest graphs emit a
+    ``value`` matrix: ``label`` is ``classes[argmax]`` when ``classes``
+    is given, else column 0 (regression); ``proba`` is column 1. Other
+    graphs emit ``proba`` and/or ``score``; their ``label`` is
+    ``score > 0``."""
+    if len(pdf) <= GRAPH_CHUNK_ROWS:
+        chunks = [pdf]
+    else:
+        chunks = [pdf.iloc[s : s + GRAPH_CHUNK_ROWS]
+                  for s in range(0, len(pdf), GRAPH_CHUNK_ROWS)]
+    parts = []
+    for chunk in chunks:
+        out = run(featurizer.transform_codes(chunk))
+        if "value" in out:
+            v = out["value"]
+            if kind == "label" and classes is not None:
+                parts.append(np.asarray(classes, dtype=np.float64)[np.argmax(v, axis=1)])
+            elif kind == "label":
+                parts.append(v[:, 0])
+            elif kind == "proba":
+                parts.append(v[:, 1])
+            else:
+                raise ValueError(f"kind {kind!r} unsupported for value graphs")
+        elif kind == "label":
+            parts.append((out["score"] > 0).astype(np.float64))
+        elif kind in ("proba", "score"):
+            parts.append(out[kind])
+        else:
+            raise ValueError(f"bad kind {kind!r}")
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(eq=False)
@@ -168,13 +222,7 @@ class MLPredict(PlanNode):
         return list(self.pipeline.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        if self.kind == "label":
-            return np.asarray(self.pipeline.predict(pdf), dtype=np.float64)
-        if self.kind == "proba":
-            return self.pipeline.predict_proba(pdf)[:, 1]
-        if self.kind == "score":
-            return np.asarray(self.pipeline.decision_function(pdf), dtype=np.float64)
-        raise ValueError(f"bad kind {self.kind!r}")
+        return pipeline_output(self.pipeline, pdf, self.kind)
 
     def label(self) -> str:
         return f"MLPredict({self.model_name}→{self.output_col})"
@@ -206,25 +254,7 @@ class NNPredict(PlanNode):
         return list(self.featurizer.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        out = self.graph.run(self.featurizer.transform_codes(pdf))
-        if "value" in out:  # tree/forest value matrix
-            v = out["value"]
-            if self.kind == "label":
-                if self.classes is not None:
-                    return np.asarray(self.classes, dtype=np.float64)[
-                        np.argmax(v, axis=1)
-                    ]
-                return v[:, 0]
-            if self.kind == "proba":
-                return v[:, 1]
-            raise ValueError(f"kind {self.kind!r} unsupported for value graphs")
-        if self.kind == "proba":
-            return out["proba"]
-        if self.kind == "score":
-            return out["score"]
-        if self.kind == "label":
-            return (out["score"] > 0).astype(np.float64)
-        raise ValueError(f"bad kind {self.kind!r}")
+        return graph_output(self.graph.run, self.featurizer, pdf, self.kind, self.classes)
 
     def label(self) -> str:
         return f"NNPredict({self.model_name}→{self.output_col})"
@@ -264,14 +294,9 @@ class ClusteredPredict(PlanNode):
         out = np.empty(len(pdf), dtype=np.float64)
         for cid in np.unique(cids):
             mask = cids == cid
-            sub = pdf.loc[mask]
-            pipe = self.cluster_pipelines[int(cid)]
-            if self.kind == "proba":
-                out[mask] = pipe.predict_proba(sub)[:, 1]
-            elif self.kind == "score":
-                out[mask] = pipe.decision_function(sub)
-            else:
-                out[mask] = np.asarray(pipe.predict(sub), dtype=np.float64)
+            out[mask] = pipeline_output(
+                self.cluster_pipelines[int(cid)], pdf.loc[mask], self.kind
+            )
         return out
 
     def label(self) -> str:
@@ -299,3 +324,7 @@ class UDFNode(PlanNode):
 
     def label(self) -> str:
         return f"UDF({self.description})"
+
+
+# every node that appends a prediction column to its child's rows
+PREDICTS = (MLPredict, NNPredict, ClusteredPredict)

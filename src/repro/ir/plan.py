@@ -6,11 +6,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.ir.ops import (
-    ClusteredPredict,
+    PREDICTS,
     Filter,
     Join,
-    MLPredict,
-    NNPredict,
     PlanNode,
     Project,
     Scan,
@@ -68,7 +66,7 @@ def output_columns(node: PlanNode, catalog: Catalog) -> list[str]:
         return left + [c for c in right if c not in left]
     if isinstance(node, Union):
         return output_columns(node.children[0], catalog)
-    if isinstance(node, (MLPredict, NNPredict, ClusteredPredict)):
+    if isinstance(node, PREDICTS):
         return output_columns(node.child, catalog) + [node.output_col]
     if isinstance(node, UDFNode):
         # unknown: assume pass-through (UDF may add columns; callers

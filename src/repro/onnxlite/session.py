@@ -4,9 +4,13 @@
 and optimizes the model (the cold cost); ``run`` executes it on a batch.
 ``get_cached_session`` is the in-DB behaviour the paper highlights in
 Fig. 3(ii): SQL Server caches models and inference sessions across
-queries, so warm queries skip the load entirely. Our Spark executors
-call it from ``mapInPandas`` workers — each executor process keeps its
-own cache, invalidated by file mtime (a model update is a new version).
+queries, so warm queries skip the load entirely. The cache is per
+process and invalidated by file mtime (a model update is a new
+version); T5 uses it for its warm standalone-engine column.
+
+Raven's own PREDICT loads from no path: the Spark codegen ships the
+compiled graph in the task closure, which measures cheaper per task
+than a cold session load (figures in ``repro.runtime.codegen``).
 """
 from __future__ import annotations
 

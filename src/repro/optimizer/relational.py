@@ -26,11 +26,9 @@ from repro.ir import (
     and_all,
     conjuncts,
 )
-from repro.ir.ops import ClusteredPredict, MLPredict, NNPredict
+from repro.ir.ops import PREDICTS
 from repro.ir.plan import Catalog, output_columns
 from repro.optimizer.rules import Rule
-
-_PREDICTS = (MLPredict, NNPredict, ClusteredPredict)
 
 
 def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
@@ -67,7 +65,7 @@ def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
         if keep:
             return Filter(new_join, and_all(keep)), True
         return new_join, True
-    if isinstance(child, _PREDICTS):
+    if isinstance(child, PREDICTS):
         # a predicate that does not touch the prediction output commutes
         # with the predict operator
         if child.output_col not in f.predicate.columns():
@@ -132,7 +130,7 @@ class PruneColumns(Rule):
             if isinstance(node, Filter):
                 child_req = None if required is None else required | node.predicate.columns()
                 return Filter(rewrite(node.child, child_req), node.predicate)
-            if isinstance(node, _PREDICTS):
+            if isinstance(node, PREDICTS):
                 ins = set(node.input_cols)
                 child_req = (
                     None
@@ -216,7 +214,7 @@ def gather_constraints(node: PlanNode) -> dict:
         return out
     if isinstance(node, Join):
         return merge(gather_constraints(node.left), gather_constraints(node.right))
-    if isinstance(node, _PREDICTS):
+    if isinstance(node, PREDICTS):
         return gather_constraints(node.child)
     if isinstance(node, UDFNode):
         return {}  # UDF may rewrite anything: no guarantees survive

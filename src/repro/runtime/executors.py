@@ -1,13 +1,11 @@
-"""The three execution modes compared in Fig. 3, plus the per-tuple
-baseline of §5(v).
+"""Execution modes of Fig. 3 that are not Raven's own PREDICT, plus
+the per-tuple baseline of §5(v).
 
-* ``raven_inprocess`` — our PREDICT: ``mapInPandas`` over Arrow batches;
-  each Spark python worker scores with a *cached* onnxlite session
-  (``get_cached_session``), so warm queries never reload the model, and
-  Spark parallelizes scan+predict across cores automatically.
-* ``ort_standalone`` — standalone engine: a single process that, per
-  run, loads the model from disk (cold session, per the paper's
-  methodology), featurizes, and scores.
+In-process PREDICT is the plan itself: ``runtime.codegen`` scores each
+predict node with ``mapInPandas`` (``Raven.run``). The standalone engine
+is one call of the graph-form output contract,
+``ir.ops.graph_output(InferenceSession(path).run, ...)``.
+
 * ``raven_ext`` — ``sp_execute_external_script``: a fresh external
   Python runtime per query; data crosses the process boundary via
   Parquet files. The interpreter/start-up cost is the paper's ~0.5 s
@@ -27,63 +25,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, StructField, StructType
-
-from repro.onnxlite.session import InferenceSession, get_cached_session
-
-
-def _output_from(out: dict, kind: str, classes) -> np.ndarray:
-    """Map graph outputs to the requested prediction flavour (same
-    contract as ``NNPredict.predict_pandas``)."""
-    if "value" in out:
-        v = out["value"]
-        if kind == "label":
-            if classes is not None:
-                return np.asarray(classes, dtype=np.float64)[np.argmax(v, axis=1)]
-            return v[:, 0]
-        if kind == "proba":
-            return v[:, 1]
-        raise ValueError(kind)
-    if kind == "proba":
-        return out["proba"]
-    if kind == "score":
-        return out["score"]
-    if kind == "label":
-        return (out["score"] > 0).astype(np.float64)
-    raise ValueError(kind)
-
-
-def raven_inprocess(
-    df: DataFrame, model_path: str, featurizer, output_col: str = "prediction",
-    kind: str = "proba", classes=None,
-) -> DataFrame:
-    """In-process PREDICT: cached-session scoring inside Spark workers."""
-    schema = StructType(
-        list(df.schema.fields) + [StructField(output_col, DoubleType())]
-    )
-
-    def fn(batches, _path=model_path, _feat=featurizer, _kind=kind, _classes=classes):
-        sess = get_cached_session(_path)
-        for pdf in batches:
-            out = pdf.copy()
-            if len(pdf):
-                res = sess.run(_feat.transform_codes(pdf))
-                out[output_col] = _output_from(res, _kind, _classes)
-            else:
-                out[output_col] = []
-            yield out
-
-    return df.mapInPandas(fn, schema=schema)
-
-
-def ort_standalone(
-    pdf: pd.DataFrame, model_path: str, featurizer, kind: str = "proba", classes=None
-) -> np.ndarray:
-    """Standalone engine run: cold session load + batch inference, one
-    process (the Fig. 3 "ORT" bars)."""
-    sess = InferenceSession(model_path)  # cold: load + graph optimize
-    out = sess.run(featurizer.transform_codes(pdf))
-    return _output_from(out, kind, classes)
+from pyspark.sql.types import DoubleType
 
 
 def raven_ext(

@@ -15,21 +15,15 @@ def main(task_path: str, in_path: str, out_path: str) -> None:
     import numpy as np
     import pandas as pd
 
+    from repro.ir.ops import graph_output
     from repro.onnxlite.session import InferenceSession
-    from repro.runtime.executors import _output_from
 
     with open(task_path, "rb") as f:
         task = pickle.load(f)
     pdf = pd.read_parquet(in_path)
     sess = InferenceSession(task["model_path"])
-    feat = task["featurizer"]
-    # bounded-memory chunks: GEMM-compiled forests materialize a
-    # (rows × leaves) indicator per tree
-    parts = []
-    for s in range(0, len(pdf), 50_000):
-        out = sess.run(feat.transform_codes(pdf.iloc[s : s + 50_000]))
-        parts.append(_output_from(out, task["kind"], task["classes"]))
-    np.save(out_path, np.concatenate(parts))
+    np.save(out_path, graph_output(sess.run, task["featurizer"], pdf,
+                                   task["kind"], task["classes"]))
 
 
 if __name__ == "__main__":

@@ -149,6 +149,14 @@ class TestModelClustering:
             cnode.predict_pandas(fl), lr_pipe.predict_proba(fl)[:, 1], atol=1e-10
         )
 
+    def test_unknown_kind_raises_like_mlpredict(self, lr_pipe, fl):
+        cm = compile_clustered(lr_pipe, fl.head(3000), k=2, cluster_col="dest")
+        node = MLPredict(Scan("t"), "m", lr_pipe, "p", kind="bogus")
+        with pytest.raises(ValueError):
+            node.predict_pandas(fl.head(50))
+        with pytest.raises(ValueError):
+            to_clustered_predict(node, cm).predict_pandas(fl.head(50))
+
 
 class TestModelQuerySplitting:
     @pytest.fixture(scope="class")

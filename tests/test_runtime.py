@@ -4,7 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.datasets import flights, hospital
-from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, Project, Scan, Union
+from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, NNPredict, Project, Scan, Union
+from repro.ir import ops
+from repro.ir.ops import graph_output
 from repro.miniml import (
     DecisionTree,
     LogisticRegressionL1,
@@ -12,16 +14,11 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
-from repro.onnxlite import clear_session_cache
+from repro.onnxlite import InferenceSession
 from repro.onnxlite.convert import pipeline_to_graph
 from repro.oracle import assert_equivalent
 from repro.runtime import ModelStore, force, measure, to_dataframe
-from repro.runtime.executors import (
-    ort_standalone,
-    per_tuple_predict,
-    raven_ext,
-    raven_inprocess,
-)
+from repro.runtime.executors import per_tuple_predict, raven_ext
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +76,24 @@ class TestCodegen:
         want = tree_pipe.predict(want_df)
         np.testing.assert_allclose(got, want)
 
+    def test_nnpredict_codegen_matches_pipeline(self, spark, fl_graph):
+        fl, pipe, path = fl_graph
+        graph = InferenceSession(path).graph
+        proba = NNPredict(Scan("flights"), "fl", graph, pipe.featurizer, "p", kind="proba")
+        label = NNPredict(Scan("flights"), "fl", graph, pipe.featurizer, "p", kind="label",
+                          classes=pipe.model.classes_)
+        full = spark.createDataFrame(fl)
+        # 3 rows over 8 partitions: most mapInPandas tasks see no batch
+        # or an empty one
+        tiny = spark.createDataFrame(fl.head(3)).repartition(8)
+        for node, want_fn in [(proba, lambda d: pipe.predict_proba(d)[:, 1]),
+                              (label, lambda d: pipe.predict(d).astype(float))]:
+            for sdf, pdf in [(full, fl), (tiny, fl.head(3))]:
+                df = to_dataframe(node, spark, {"flights": sdf})
+                got = df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"]
+                want = want_fn(pdf.sort_values("flight_id"))
+                np.testing.assert_allclose(got.to_numpy(), want)
+
     def test_udf_codegen(self, spark, hosp_small):
         from repro.ir import UDFNode
 
@@ -118,8 +133,6 @@ class TestModelStore:
         assert store.versions("m")[-1]["version"] == 2
 
     def test_graph_model(self, tmp_path, tree_pipe, hosp_small):
-        from repro.onnxlite import InferenceSession
-
         store = ModelStore(str(tmp_path / "store"))
         g = pipeline_to_graph(tree_pipe)
         store.save_graph_model("los_nn", g)
@@ -153,19 +166,17 @@ def fl_graph(tmp_path_factory):
 
 
 class TestExecutionModes:
-    def test_ort_standalone_matches_pipeline(self, fl_graph):
+    def test_cold_session_graph_output_matches_pipeline(self, fl_graph):
         fl, pipe, path = fl_graph
-        out = ort_standalone(fl, path, pipe.featurizer, kind="proba")
+        out = graph_output(InferenceSession(path).run, pipe.featurizer, fl, "proba")
         np.testing.assert_allclose(out, pipe.predict_proba(fl)[:, 1])
 
-    def test_raven_inprocess_matches(self, spark, fl_graph):
-        clear_session_cache()
+    def test_graph_output_chunks_concatenate(self, fl_graph, monkeypatch):
         fl, pipe, path = fl_graph
-        df = spark.createDataFrame(fl)
-        out_df = raven_inprocess(df, path, pipe.featurizer, "p", kind="proba")
-        got = out_df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"].to_numpy()
-        want = pipe.predict_proba(fl.sort_values("flight_id"))[:, 1]
-        np.testing.assert_allclose(got, want)
+        run = InferenceSession(path).run
+        whole = graph_output(run, pipe.featurizer, fl, "proba")
+        monkeypatch.setattr(ops, "GRAPH_CHUNK_ROWS", 1_000)  # 3000 rows → 3 chunks
+        np.testing.assert_array_equal(graph_output(run, pipe.featurizer, fl, "proba"), whole)
 
     def test_raven_ext_matches(self, fl_graph):
         fl, pipe, path = fl_graph
@@ -181,7 +192,7 @@ class TestExecutionModes:
 
     def test_label_kind_from_value_graph(self, fl_graph, tmp_path):
         fl, pipe, path = fl_graph
-        out = ort_standalone(fl.head(100), path, pipe.featurizer, kind="label",
-                             classes=pipe.model.classes_)
+        out = graph_output(InferenceSession(path).run, pipe.featurizer, fl.head(100),
+                           "label", pipe.model.classes_)
         want = pipe.predict(fl.head(100)).astype(float)
         np.testing.assert_allclose(out, want)
