@@ -101,15 +101,41 @@ class FilterPushdown(Rule):
         return rewrite(plan), changed_any
 
 
+def _is_pruned_scan(node: Project) -> bool:
+    """A Project of plain column passthroughs over a Scan, or over
+    Filters over a Scan: the form ``PruneColumns`` prunes a Scan into."""
+    if not all(isinstance(e, Col) and e.name == n for n, e in node.exprs):
+        return False
+    child = node.child
+    while isinstance(child, Filter):
+        child = child.child
+    return isinstance(child, Scan)
+
+
 class PruneColumns(Rule):
     """Top-down required-column analysis: trims projections, inserts
     pruned Projects over Scans, and eliminates 1:1 joins whose right
-    side contributes nothing but its key."""
+    side contributes nothing but its key.
+
+    A Filter directly on a Scan is pruned above the Filter: below it,
+    ``FilterPushdown`` would swap the two, and the next sweep would
+    prune again. A converged plan reports no change."""
 
     name = "prune_columns"
 
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
         changed = False
+
+        def prune(node: PlanNode, table: str, required: set[str]) -> PlanNode:
+            """``node`` (a Scan of ``table``, or a Filter on it) under a
+            Project of the ``required`` columns, if it has others."""
+            nonlocal changed
+            schema = catalog.schemas[table]
+            if not set(schema) - required:
+                return node
+            cols = [c for c in schema if c in required] or schema[:1]
+            changed = True
+            return Project(node, [(c, Col(c)) for c in cols])
 
         def rewrite(node: PlanNode, required: set[str] | None) -> PlanNode:
             nonlocal changed
@@ -120,14 +146,21 @@ class PruneColumns(Rule):
                     kept = [(n, e) for n, e in node.exprs if n in required]
                     if not kept:  # keep at least one column for schema sanity
                         kept = node.exprs[:1]
-                child_req = set()
-                for _, e in kept:
-                    child_req |= e.columns()
-                new_child = rewrite(node.child, child_req)
+                if required is not None and _is_pruned_scan(node):
+                    # already the Project this rule puts over a Scan:
+                    # trim it, never prune its Scan again
+                    new_child = node.child
+                else:
+                    child_req = set()
+                    for _, e in kept:
+                        child_req |= e.columns()
+                    new_child = rewrite(node.child, child_req)
                 if len(kept) != len(node.exprs):
                     changed = True
                 return Project(new_child, kept)
             if isinstance(node, Filter):
+                if required is not None and isinstance(node.child, Scan):
+                    return prune(node, node.child.table, required)
                 child_req = None if required is None else required | node.predicate.columns()
                 return Filter(rewrite(node.child, child_req), node.predicate)
             if isinstance(node, PREDICTS):
@@ -164,14 +197,7 @@ class PruneColumns(Rule):
                     fk_one_to_one=node.fk_one_to_one,
                 )
             if isinstance(node, Scan):
-                schema = catalog.schemas[node.table]
-                if required is not None and set(schema) - required:
-                    cols = [c for c in schema if c in required]
-                    if not cols:
-                        cols = schema[:1]
-                    changed = True
-                    return Project(Scan(node.table), [(c, Col(c)) for c in cols])
-                return node
+                return node if required is None else prune(node, node.table, required)
             return node.with_children([rewrite(c, None) for c in node.children])
 
         # the root's own output is fully required (required=None); pruning

@@ -16,6 +16,10 @@ class Rule:
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
         raise NotImplementedError
 
+    def reset(self) -> None:
+        """Forget state kept across sweeps; ``CrossOptimizer`` calls it
+        at the start of every ``optimize()``."""
+
 
 @dataclass
 class OptimizationReport:
@@ -36,6 +40,8 @@ class CrossOptimizer:
 
     def optimize(self, plan: PlanNode, catalog: Catalog) -> OptimizationReport:
         report = OptimizationReport(plan)
+        for rule in self.rules:
+            rule.reset()
         for it in range(self.max_iterations):
             any_change = False
             for rule in self.rules:

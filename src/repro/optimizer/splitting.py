@@ -51,12 +51,16 @@ def split_predict(node: MLPredict) -> Union | None:
 
 class ModelQuerySplitting(Rule):
     """Split every splittable tree MLPredict once (one root split per
-    optimizer sweep; repeated sweeps split deeper)."""
+    optimizer sweep; repeated sweeps split deeper), at most
+    ``max_splits`` times per ``optimize()`` call."""
 
     name = "model_query_splitting"
 
     def __init__(self, max_splits: int = 1):
         self.max_splits = max_splits
+        self.reset()
+
+    def reset(self) -> None:
         self._done = 0
 
     def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:

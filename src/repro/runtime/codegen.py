@@ -10,6 +10,17 @@ out of scope, see DESIGN.md). This is the only in-process PREDICT path.
 Spark parallelizes scan+predict exactly like SQL Server does for
 PREDICT in Fig. 3(iii).
 
+Every Python task pays a fixed start-up, almost all of it in pyspark's
+per-task ``importlib.invalidate_caches()``. On ``local[4]`` (4-vCPU
+Xeon) an identity ``mapInPandas`` over 1 000 rows takes 0.41 s on 4
+partitions and 0.59 s on 8, while the benchmark's 250K-row flights
+forest scores in about 0.7 s of CPU. So the predict's child is
+coalesced (narrow, no shuffle) to ``defaultParallelism`` partitions:
+one wave of Python tasks per PREDICT, not one per input partition.
+Catalyst cannot prune the output of an opaque ``mapInPandas``, so when
+a ``Project`` sits directly on a predict, only the child columns it
+reads come back over Arrow, with the prediction column.
+
 The task closure carries the predict node itself, with its compiled
 and optimized model inside, so no task loads a model from disk. That is
 cheaper than a model-store path plus a per-executor session cache. On a
@@ -37,21 +48,37 @@ from repro.ir import (
 from repro.ir.ops import PREDICTS
 
 
-def _predict_map_fn(node):
+def _predict_map_fn(node, drop=()):
     """Closure shipped to executors. ``node`` is pickled with the model
-    artifacts inside; pandas batches stream through Arrow."""
+    artifacts inside; pandas batches stream through Arrow. Each batch
+    is scored, stripped of the ``drop`` columns and returned with the
+    prediction added: the batch belongs to the iterator, so no copy."""
 
     def fn(batches):
         for pdf in batches:
-            out = pdf.copy()
-            out[node.output_col] = (
-                node.predict_pandas(pdf)
-                if len(pdf)
-                else []
-            )
-            yield out
+            pred = node.predict_pandas(pdf) if len(pdf) else []
+            if drop:
+                pdf = pdf.drop(columns=drop)
+            pdf[node.output_col] = pred
+            yield pdf
 
     return fn
+
+
+def _predict_dataframe(node, spark: SparkSession, tables: dict[str, DataFrame],
+                       keep: set[str] | None = None) -> DataFrame:
+    """The in-process PREDICT: ``node``'s child, coalesced to one wave
+    of tasks, scored by ``mapInPandas``. Only the child columns in
+    ``keep`` (all when None) come back with the prediction column."""
+    child = to_dataframe(node.child, spark, tables).coalesce(
+        spark.sparkContext.defaultParallelism
+    )
+    if keep is None:
+        keep = set(child.columns)
+    fields = [f for f in child.schema.fields if f.name in keep]
+    drop = [c for c in child.columns if c not in keep]
+    schema = StructType(fields + [StructField(node.output_col, DoubleType())])
+    return child.mapInPandas(_predict_map_fn(node, drop), schema=schema)
 
 
 def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFrame]) -> DataFrame:
@@ -61,7 +88,13 @@ def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFram
     if isinstance(plan, Filter):
         return to_dataframe(plan.child, spark, tables).where(plan.predicate.to_sql())
     if isinstance(plan, Project):
-        df = to_dataframe(plan.child, spark, tables)
+        if isinstance(plan.child, PREDICTS):
+            # an opaque mapInPandas is not pruned by Catalyst: return
+            # only what this Project reads
+            keep = set().union(*(e.columns() for _, e in plan.exprs))
+            df = _predict_dataframe(plan.child, spark, tables, keep)
+        else:
+            df = to_dataframe(plan.child, spark, tables)
         return df.selectExpr(
             *[f"{e.to_sql()} AS {name}" for name, e in plan.exprs]
         )
@@ -78,11 +111,7 @@ def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFram
             (to_dataframe(c, spark, tables) for c in plan.children),
         )
     if isinstance(plan, PREDICTS):
-        child = to_dataframe(plan.child, spark, tables)
-        schema = StructType(
-            list(child.schema.fields) + [StructField(plan.output_col, DoubleType())]
-        )
-        return child.mapInPandas(_predict_map_fn(plan), schema=schema)
+        return _predict_dataframe(plan, spark, tables)
     if isinstance(plan, UDFNode):
         child = to_dataframe(plan.child, spark, tables)
         # infer the UDF's output schema from a tiny sample (black-box fn)

@@ -21,7 +21,9 @@ from repro.ir import (
     output_columns,
     walk,
 )
+from repro.ir.plan import pretty
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
+from repro.optimizer import CrossOptimizer
 from repro.optimizer.relational import FilterPushdown, PruneColumns, gather_constraints
 from repro.oracle import assert_equivalent
 from repro.runtime.codegen import to_dataframe
@@ -40,6 +42,15 @@ def catalog():
 def _join3():
     j1 = Join(Scan("patient_info"), Scan("blood_tests"), "pid", "pid", fk_one_to_one=True)
     return Join(j1, Scan("prenatal_tests"), "pid", "pid", fk_one_to_one=True)
+
+
+def _stacked_projects(plan):
+    """Projects sitting directly on a Project with the same output names."""
+    return [
+        n for n in walk(plan)
+        if isinstance(n, Project) and isinstance(n.child, Project)
+        and n.output_names == n.child.output_names
+    ]
 
 
 class TestFilterPushdown:
@@ -195,6 +206,39 @@ class TestPruneColumns:
         out, _ = PruneColumns().apply(plan, catalog)
         scans = {n.table for n in walk(out) if isinstance(n, Scan)}
         assert scans == {"patient_info", "blood_tests", "prenatal_tests"}
+
+    def test_second_apply_reports_no_change(self, catalog):
+        pipe = Pipeline(TableFeaturizer(numeric_cols=["bp"], scale=False), DecisionTree())
+        rng = np.random.default_rng(0)
+        df = pd.DataFrame({"bp": rng.normal(120, 10, 50)})
+        pipe.fit(df, (df["bp"] > 120).astype(int).to_numpy())
+        plans = [
+            Project(Scan("patient_info"), [("age", Col("age"))]),
+            Project(_join3(), [("age", Col("age")), ("bp", Col("bp"))]),
+            Project(
+                Filter(Scan("patient_info"), Cmp("=", Col("pregnant"), Lit(1))),
+                [("pid", Col("pid"))],
+            ),
+            Project(
+                MLPredict(_join3(), "m", pipe, "pred"),
+                [("pred", Col("pred")), ("pid", Col("pid"))],
+            ),
+        ]
+        for plan in plans:
+            out, _ = PruneColumns().apply(plan, catalog)
+            again, changed = PruneColumns().apply(out, catalog)
+            assert not changed, pretty(out)
+            assert pretty(again) == pretty(out)
+
+    def test_converges_with_filter_pushdown(self, catalog):
+        """Pruning under a pushed filter must not re-open the push."""
+        plan = Project(
+            Filter(_join3(), Cmp("=", Col("pregnant"), Lit(1))),
+            [("pid", Col("pid")), ("age", Col("age")), ("bp", Col("bp"))],
+        )
+        report = CrossOptimizer([FilterPushdown(), PruneColumns()]).optimize(plan, catalog)
+        assert report.iterations < 5
+        assert not _stacked_projects(report.plan)
 
     def test_oracle_after_join_elimination(self, spark, catalog):
         t = hospital.tables(400, seed=5)

@@ -25,6 +25,7 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
+from repro.optimizer import CrossOptimizer
 from repro.optimizer.clustering import compile_clustered, to_clustered_predict
 from repro.optimizer.nn_translate import NNTranslation, translate_predict
 from repro.optimizer.pruning import PredicateBasedModelPruning
@@ -217,6 +218,13 @@ class TestModelQuerySplitting:
         assert changed
         out2, changed2 = rule.apply(out, catalog)
         assert not changed2
+
+    def test_reused_optimizer_splits_every_call(self, tree_pipe):
+        catalog = Catalog().add_table("t", hospital.FEATURES, set())
+        plan = MLPredict(Scan("t"), "m", tree_pipe, "pred")
+        opt = CrossOptimizer([ModelQuerySplitting()])
+        for _ in range(2):
+            assert isinstance(opt.optimize(plan, catalog).plan, Union)
 
     def test_split_then_prune_shrinks_branches(self, tree_pipe):
         """The §2 cascade: split → each branch's filter prunes its model."""

@@ -7,7 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.datasets import hospital
-from repro.ir import Catalog, Join, MLPredict, Scan, walk
+from repro.ir import Catalog, Join, MLPredict, Project, Scan, walk
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
 from repro.optimizer import CrossOptimizer, default_rules
 from repro.optimizer.inlining import ModelInlining
@@ -70,6 +70,18 @@ class TestRunningExample:
         report = raven.optimize(plan)
         ml = next(n for n in walk(report.plan) if isinstance(n, MLPredict))
         assert "gender" not in ml.pipeline.input_cols
+
+    def test_optimizer_converges(self, setup):
+        """A converged plan makes every rule report no change, so the
+        optimizer stops early and no pruned Project is stacked twice."""
+        raven, _, _ = setup
+        report = raven.optimize(raven.analyze_sql(RUNNING_EXAMPLE))
+        assert report.iterations < raven.optimizer.max_iterations
+        assert not [
+            n for n in walk(report.plan)
+            if isinstance(n, Project) and isinstance(n.child, Project)
+            and n.output_names == n.child.output_names
+        ]
 
     def test_result_matches_local_reference(self, setup):
         raven, pipe, train = setup

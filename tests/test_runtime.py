@@ -18,6 +18,7 @@ from repro.onnxlite import InferenceSession
 from repro.onnxlite.convert import pipeline_to_graph
 from repro.oracle import assert_equivalent
 from repro.runtime import ModelStore, force, measure, to_dataframe
+from repro.runtime.codegen import _predict_dataframe, _predict_map_fn
 from repro.runtime.executors import per_tuple_predict, raven_ext
 
 
@@ -83,8 +84,8 @@ class TestCodegen:
         label = NNPredict(Scan("flights"), "fl", graph, pipe.featurizer, "p", kind="label",
                           classes=pipe.model.classes_)
         full = spark.createDataFrame(fl)
-        # 3 rows over 8 partitions: most mapInPandas tasks see no batch
-        # or an empty one
+        # 3 rows over 8 partitions, coalesced to one wave of tasks; empty
+        # batches are covered by test_predict_map_fn_empty_batches
         tiny = spark.createDataFrame(fl.head(3)).repartition(8)
         for node, want_fn in [(proba, lambda d: pipe.predict_proba(d)[:, 1]),
                               (label, lambda d: pipe.predict(d).astype(float))]:
@@ -93,6 +94,54 @@ class TestCodegen:
                 got = df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"]
                 want = want_fn(pdf.sort_values("flight_id"))
                 np.testing.assert_allclose(got.to_numpy(), want)
+
+    def test_predict_runs_one_wave_of_tasks(self, spark, fl_graph):
+        fl, pipe, path = fl_graph
+        node = NNPredict(Scan("flights"), "fl", InferenceSession(path).graph,
+                         pipe.featurizer, "p", kind="proba")
+        n = spark.sparkContext.defaultParallelism
+        want = pipe.predict_proba(fl.sort_values("flight_id"))[:, 1]
+        for parts, want_parts in [(2 * n, n), (1, 1)]:
+            sdf = spark.createDataFrame(fl).repartition(parts)
+            df = to_dataframe(node, spark, {"flights": sdf})
+            assert df.rdd.getNumPartitions() == want_parts
+            got = df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"]
+            np.testing.assert_allclose(got.to_numpy(), want)
+
+    def test_project_over_predict_returns_projected_columns(self, spark, fl_graph):
+        fl, pipe, path = fl_graph
+        node = NNPredict(Scan("flights"), "fl", InferenceSession(path).graph,
+                         pipe.featurizer, "p", kind="proba")
+        plan = Project(node, [
+            ("id", Col("flight_id")),
+            ("p", Col("p")),
+            ("late", Cmp(">", Col("p"), Lit(0.5))),
+        ])
+        tables = {"flights": spark.createDataFrame(fl)}
+        df = to_dataframe(plan, spark, tables)
+        assert df.columns == ["id", "p", "late"]
+        # the mapInPandas under the Project returns only what it reads
+        assert _predict_dataframe(node, spark, tables, {"flight_id", "p"}).columns == [
+            "flight_id", "p"
+        ]
+        got = df.toPandas().sort_values("id")
+        want = pipe.predict_proba(fl.sort_values("flight_id"))[:, 1]
+        np.testing.assert_array_equal(got["id"], np.sort(fl["flight_id"].to_numpy()))
+        np.testing.assert_allclose(got["p"].to_numpy(), want)
+        np.testing.assert_array_equal(got["late"].to_numpy(), want > 0.5)
+
+    def test_predict_map_fn_empty_batches(self, fl_graph):
+        fl, pipe, path = fl_graph
+        node = NNPredict(Scan("flights"), "fl", InferenceSession(path).graph,
+                         pipe.featurizer, "p", kind="proba")
+        out = list(_predict_map_fn(node)(iter([fl.head(0).copy()])))
+        assert len(out) == 1 and len(out[0]) == 0
+        assert list(out[0].columns) == [*fl.columns, "p"]
+        assert list(_predict_map_fn(node)(iter([]))) == []
+        batch = fl.head(5).copy()
+        (out,) = _predict_map_fn(node, ["origin"])(iter([batch]))
+        assert list(out.columns) == [c for c in fl.columns if c != "origin"] + ["p"]
+        np.testing.assert_allclose(out["p"], pipe.predict_proba(fl.head(5))[:, 1])
 
     def test_udf_codegen(self, spark, hosp_small):
         from repro.ir import UDFNode
