@@ -1,5 +1,5 @@
-"""T4 benchmark: RF vs GEMM-compiled RF-NN (Fig. 2d) at 10K and 200K
-rows (CPU; GPU rows are not reproducible here)."""
+"""T4 benchmark: RF vs RF-NN, the forest as an onnxlite graph (Fig. 2d),
+at 10K and 200K rows (CPU; GPU rows are not reproducible here)."""
 import pytest
 
 from repro.datasets import hospital

@@ -1,4 +1,4 @@
-"""T4 (Fig. 2d): NN translation — RF vs GEMM-compiled RF-NN."""
+"""T4 (Fig. 2d): NN translation — RF vs RF-NN (the forest as an onnxlite graph)."""
 from _session import get_spark  # noqa: F401
 from repro.experiments import t4_nn_translation as t4
 from repro.experiments.common import fmt_table

@@ -2,8 +2,8 @@
 
 Protocol: a random-forest hospital-stay classifier scored two ways over
 increasing dataset sizes: RF (classical per-tree traversal, the
-scikit-learn stand-in) vs RF-NN (the same forest compiled to a GEMM
-graph executed by onnxlite). Paper: RF-NN ≈2× faster on CPU at 1K
+scikit-learn stand-in) vs RF-NN (the same forest compiled to a
+tensor-op graph — a batched tree traversal — executed by onnxlite). Paper: RF-NN ≈2× faster on CPU at 1K
 tuples, the gap closing as size grows; the GPU rows (up to 15× at 1M)
 are not reproducible here — no GPU in the container (see DESIGN.md).
 """
@@ -27,8 +27,8 @@ def run(sizes: list[int] | None = None, n_train: int = 20_000, seed: int = 0,
     """Columns: ``rf_vec_s`` (vectorized batch traversal — an idealized
     classical baseline with no framework overhead), ``rf_row_s``
     (per-sample interpreted traversal — the classical per-row execution
-    style, capped at small sizes), ``rf_nn_cpu_s`` (GEMM-compiled
-    forest in onnxlite). The true scikit-learn baseline sits between
+    style, capped at small sizes), ``rf_nn_cpu_s`` (the forest compiled
+    to an onnxlite traversal graph). The true scikit-learn baseline sits between
     the two brackets; see EXPERIMENTS.md for the shape discussion."""
     pipe = hospital_forest_pipeline(n_train=n_train, seed=seed, n_trees=n_trees)
     sess = InferenceSession(pipeline_to_graph(pipe))

@@ -139,9 +139,10 @@ class Union(PlanNode):
         return f"Union({len(self.children)})"
 
 
-# Graph scoring runs in chunks of this many rows: GEMM-compiled forests
-# materialize a (rows × leaves) indicator per tree. Spark's Arrow batches
-# (10K rows) are always a single chunk.
+# Graph scoring runs in chunks of this many rows: forest graphs
+# materialize a (rows × trees) node-id tensor per level and a (trees ×
+# rows × classes) leaf-value tensor. Spark's Arrow batches (10K rows) are
+# always a single chunk.
 GRAPH_CHUNK_ROWS = 50_000
 
 

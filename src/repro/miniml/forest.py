@@ -13,8 +13,8 @@ class RandomForest:
     """Bagging ensemble of :class:`DecisionTree`.
 
     Feature subsampling is done per-tree (not per-split) so each member
-    remains a plain CART tree — this keeps compiled (GEMM) forests a
-    simple union of compiled trees.
+    remains a plain CART tree — this keeps a compiled forest a stack of
+    its trees' node tables.
     """
 
     n_trees: int = 10

@@ -3,8 +3,8 @@
 Trees are stored in flat arrays (``feature``, ``threshold``, ``left``,
 ``right``, ``value``) rather than linked nodes, which makes three things
 cheap: vectorized prediction, structural rewrites (predicate-based
-pruning builds a new array tree), and compilation to GEMM form
-(onnxlite.convert). Convention: a row goes **left** when
+pruning builds a new array tree), and compilation to node tables for
+a batched tree traversal (onnxlite.convert). Convention: a row goes **left** when
 ``x[feature] <= threshold``. ``feature == -1`` marks a leaf.
 """
 from __future__ import annotations

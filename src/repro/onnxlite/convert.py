@@ -1,19 +1,25 @@
 """NN translation: compile miniml models and featurizers to onnxlite
 graphs (the paper's MLD→LA operator transformation, §4.2).
 
-Decision trees are compiled to the 3-GEMM form (as in Hummingbird): with
-internal nodes I, leaves L, features F,
+Trees and forests are compiled to Hummingbird's TreeTraversal strategy
+(Nakandala et al., OSDI 2020), batched over every tree of the forest:
 
-* ``A ∈ R^{F×I}``, ``A[f,i]=1`` iff node *i* tests feature *f*; thresholds
-  ``thr ∈ R^I``; then ``E = (X·A ≤ thr)`` evaluates every split at once.
-* ``C ∈ R^{I×L}``: for each leaf *l* and internal ancestor *i*, ``+1`` if
-  *l* lies in *i*'s left subtree, ``−1`` if right; ``D[l]`` = number of
-  left-edges on *l*'s path. A row reaches leaf *l* iff ``(E·C)[l] == D[l]``
-  (the maximum is attained only on the true path).
-* predictions are the one-hot leaf indicator times the leaf-value matrix.
+* all trees' nodes are stacked into one set of tables indexed by a
+  global node id — the tested feature (mapped through the tree's column
+  subset), the threshold, the left and right child (a leaf points to
+  itself) and the leaf values (aligned to the forest's classes);
+* a (rows, trees) tensor of node ids starts at the roots and takes one
+  step per level: ``Gather`` the tables at the current nodes,
+  ``GatherElements`` the tested features from the input, ``LessOrEqual``
+  and ``Where`` pick the child. After the forest's maximum depth every
+  row sits on a leaf in every tree;
+* the leaf values are gathered, summed over trees in tree order and
+  divided by the number of trees, as ``RandomForest`` averages them.
 
-That turns per-row tree traversal into three dense matmuls — exactly why
-the paper's RF-NN beats scikit-learn at small-to-medium batch sizes.
+A row goes right when its feature is NaN (``NaN <= t`` is false), at
+that node only, exactly as ``DecisionTree.apply`` does. The cost is one
+batch of gathers per level — O(rows · trees · depth) — where the 3-GEMM
+form multiplies every row by every internal node and every leaf.
 """
 from __future__ import annotations
 
@@ -28,40 +34,6 @@ from repro.miniml.tree import LEAF, DecisionTree
 from repro.onnxlite.graph import Graph, Node
 
 
-def _tree_gemm_tensors(tree: DecisionTree, value: np.ndarray):
-    """Build (A, thr, C, D, V) for the 3-GEMM compilation. ``value`` is
-    the (n_nodes, n_out) node-value matrix to read leaf outputs from
-    (pre-aligned to the desired class set)."""
-    internal = np.nonzero(tree.feature != LEAF)[0]
-    leaves = np.nonzero(tree.feature == LEAF)[0]
-    i_pos = {n: k for k, n in enumerate(internal)}
-    l_pos = {n: k for k, n in enumerate(leaves)}
-    F, I, L = tree.n_features, len(internal), len(leaves)
-
-    A = np.zeros((F, I))
-    thr = np.zeros(I)
-    for n in internal:
-        A[tree.feature[n], i_pos[n]] = 1.0
-        thr[i_pos[n]] = tree.threshold[n]
-
-    C = np.zeros((I, L))
-    D = np.zeros(L)
-
-    def walk(n: int, path: list[tuple[int, int]]) -> None:
-        if tree.feature[n] == LEAF:
-            lp = l_pos[n]
-            for anc, direction in path:
-                C[i_pos[anc], lp] = 1.0 if direction == 0 else -1.0
-            D[lp] = sum(1 for _, d in path if d == 0)
-            return
-        walk(tree.left[n], path + [(n, 0)])
-        walk(tree.right[n], path + [(n, 1)])
-
-    walk(0, [])
-    V = value[leaves]
-    return A, thr, C, D, V
-
-
 def _aligned_values(tree: DecisionTree, classes: np.ndarray | None) -> np.ndarray:
     """Node-value matrix aligned to ``classes`` (forest members trained
     on a bootstrap may have seen fewer classes)."""
@@ -74,84 +46,105 @@ def _aligned_values(tree: DecisionTree, classes: np.ndarray | None) -> np.ndarra
     return full
 
 
-def tree_nodes(
-    tree: DecisionTree,
-    input_name: str,
-    output_name: str,
-    prefix: str,
-    classes: np.ndarray | None = None,
-) -> tuple[list[Node], dict[str, np.ndarray]]:
-    """Emit nodes computing ``output_name`` = per-row leaf values
-    (B, n_out) of ``tree`` applied to the feature tensor ``input_name``."""
-    value = _aligned_values(tree, classes)
-    if tree.feature[0] == LEAF:  # single-leaf tree: constant output
-        F = max(1, tree.n_features)
-        inits = {
-            f"{prefix}Z": np.zeros((F, value.shape[1])),
-            f"{prefix}V0": value[0],
-        }
-        nodes = [
-            Node("MatMul", [input_name, f"{prefix}Z"], f"{prefix}zero"),
-            Node("Add", [f"{prefix}zero", f"{prefix}V0"], output_name),
-        ]
-        return nodes, inits
-    A, thr, C, D, V = _tree_gemm_tensors(tree, value)
-    inits = {
-        f"{prefix}A": A,
-        f"{prefix}thr": thr,
-        f"{prefix}C": C,
-        f"{prefix}D": D,
-        f"{prefix}V": V,
+def _node_tables(
+    trees: list[DecisionTree],
+    feature_subsets: list[np.ndarray],
+    classes: np.ndarray | None,
+) -> tuple[dict[str, np.ndarray], int]:
+    """Stack every tree's nodes into one set of tables, indexed by a
+    global node id, and return them with the forest's maximum depth.
+
+    Feature ids are mapped through each tree's column subset; a leaf
+    tests feature 0 and points to itself on both sides, so extra levels
+    leave a row that reached it in place."""
+    offsets = np.cumsum([0] + [t.n_nodes for t in trees])
+    feature, left, right = [], [], []
+    for tree, cols, off in zip(trees, feature_subsets, offsets):
+        ids = np.arange(tree.n_nodes, dtype=np.int64) + off
+        leaf = tree.feature == LEAF
+        cols = np.asarray(cols, dtype=np.int64)
+        feature.append(np.where(leaf, 0, cols[np.where(leaf, 0, tree.feature)]))
+        left.append(np.where(leaf, ids, tree.left + off))
+        right.append(np.where(leaf, ids, tree.right + off))
+    tables = {
+        "feature": np.concatenate(feature),
+        "threshold": np.concatenate([t.threshold for t in trees]),
+        "left": np.concatenate(left),
+        "right": np.concatenate(right),
+        "value": np.concatenate([_aligned_values(t, classes) for t in trees]),
+        "roots": offsets[:-1],
     }
-    nodes = [
-        Node("MatMul", [input_name, f"{prefix}A"], f"{prefix}s1"),
-        Node("LessOrEqual", [f"{prefix}s1", f"{prefix}thr"], f"{prefix}e"),
-        Node("Cast", [f"{prefix}e"], f"{prefix}ef", {"to": "float64"}),
-        Node("MatMul", [f"{prefix}ef", f"{prefix}C"], f"{prefix}s2"),
-        Node("Equal", [f"{prefix}s2", f"{prefix}D"], f"{prefix}l"),
-        Node("Cast", [f"{prefix}l"], f"{prefix}lf", {"to": "float64"}),
-        Node("MatMul", [f"{prefix}lf", f"{prefix}V"], output_name),
+    # maximum depth, one level of the whole forest at a time
+    internal = np.concatenate([t.feature != LEAF for t in trees])
+    depth, frontier = 0, tables["roots"]
+    while True:
+        frontier = frontier[internal[frontier]]
+        if not frontier.size:
+            break
+        frontier = np.concatenate([tables["left"][frontier], tables["right"][frontier]])
+        depth += 1
+    return tables, depth
+
+
+def _traversal_graph(
+    trees: list[DecisionTree],
+    feature_subsets: list[np.ndarray],
+    classes: np.ndarray | None,
+    input_name: str,
+    name: str,
+) -> Graph:
+    """Batched TreeTraversal over the stacked node tables: the node
+    index tensor is (rows, trees); each level gathers the nodes' feature
+    ids, thresholds and children, fetches the tested features from the
+    input, and steps every row left or right at once. Output ``value``
+    is the per-tree leaf values summed in tree order, divided by the
+    number of trees."""
+    tables, depth = _node_tables(trees, feature_subsets, classes)
+    inits = {f"trav_{k}": v for k, v in tables.items()}
+    inits["ntrees"] = np.float64(len(trees))
+    nodes: list[Node] = []
+    idx = "trav_roots"
+    # at least one level, so that a forest of single leaves still
+    # yields one row of output per input row
+    for d in range(max(1, depth)):
+        p = f"lvl{d}_"
+        for k in ("feature", "threshold", "left", "right"):
+            nodes.append(Node("Gather", [f"trav_{k}", idx], f"{p}{k}"))
+        if d == 0:
+            # root lookups are constant (trees,): fetch whole columns
+            nodes.append(Node("Gather", [input_name, f"{p}feature"], f"{p}x", {"axis": 1}))
+        else:
+            nodes.append(Node("GatherElements", [input_name, f"{p}feature"], f"{p}x",
+                              {"axis": 1}))
+        nodes.append(Node("LessOrEqual", [f"{p}x", f"{p}threshold"], f"{p}go_left"))
+        nodes.append(Node("Where", [f"{p}go_left", f"{p}left", f"{p}right"], f"{p}next"))
+        idx = f"{p}next"
+    # (trees, rows) leaf ids make a contiguous (trees, rows, outputs)
+    # gather, which numpy sums over its leading axis in tree order
+    nodes += [
+        Node("Transpose", [idx], "leaf_ids"),
+        Node("Gather", ["trav_value", "leaf_ids"], "leaf_values"),
+        Node("ReduceSum", ["leaf_values"], "value_sum", {"axis": 0}),
+        Node("Div", ["value_sum", "ntrees"], "value"),
     ]
-    return nodes, inits
+    g = Graph(inputs=[input_name], outputs=["value"], nodes=nodes, initializers=inits,
+              name=name)
+    g.validate()
+    return g
 
 
 def tree_to_graph(tree: DecisionTree, input_name: str = "X") -> Graph:
-    """Compile a single tree: input (B,F) features → output ``value``
-    (leaf probabilities / regression means)."""
-    nodes, inits = tree_nodes(tree, input_name, "value", "t0_")
-    g = Graph(inputs=[input_name], outputs=["value"], nodes=nodes, initializers=inits,
-              name="tree")
-    g.validate()
-    return g
+    """Compile a single tree (a forest of one): input (B,F) features →
+    output ``value`` (leaf probabilities / regression means)."""
+    return _traversal_graph([tree], [np.arange(tree.n_features)], None, input_name, "tree")
 
 
 def forest_to_graph(forest: RandomForest, input_name: str = "X") -> Graph:
-    """Compile a forest: per-tree GEMM blocks (with per-tree feature
-    Gather), averaged."""
+    """Compile a forest: one traversal over all trees, leaf values
+    averaged as ``RandomForest`` averages them."""
     classes = forest.classes_ if forest.task == "classification" else None
-    nodes: list[Node] = []
-    inits: dict[str, np.ndarray] = {}
-    vals = []
-    for i, (tree, cols) in enumerate(zip(forest.trees, forest.feature_subsets)):
-        p = f"t{i}_"
-        # each tree was trained on its own column subset: gather first
-        inits[f"{p}cols"] = np.asarray(cols, dtype=np.int64)
-        nodes.append(Node("Gather", [input_name, f"{p}cols"], f"{p}x", {"axis": 1}))
-        feat_in = f"{p}x"
-        tn, ti = tree_nodes(tree, feat_in, f"{p}val", p, classes=classes)
-        nodes.extend(tn)
-        inits.update(ti)
-        vals.append(f"{p}val")
-    acc = vals[0]
-    for i, v in enumerate(vals[1:]):
-        nodes.append(Node("Add", [acc, v], f"sum{i}"))
-        acc = f"sum{i}"
-    inits["ntrees"] = np.float64(forest.n_trees)
-    nodes.append(Node("Div", [acc, "ntrees"], "value"))
-    g = Graph(inputs=[input_name], outputs=["value"], nodes=nodes, initializers=inits,
-              name="forest")
-    g.validate()
-    return g
+    return _traversal_graph(forest.trees, forest.feature_subsets, classes, input_name,
+                            "forest")
 
 
 def linear_to_graph(model, input_name: str = "X") -> Graph:

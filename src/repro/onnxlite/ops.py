@@ -3,9 +3,9 @@
 Each kernel is a pure function ``(inputs: list[np.ndarray], attrs:
 dict) -> np.ndarray`` registered in ``KERNELS`` by op_type. The set
 mirrors the slice of ONNX needed by the paper's translated models:
-GEMM-compiled trees (MatMul/LessOrEqual/Equal/Cast), linear models
-(MatMul/Add/Sigmoid), MLPs (Relu), featurizers (OneHot/Concat/Sub/Div)
-and output shaping (ArgMax/ReduceMean/Reshape/Gather).
+tree traversal (Gather/GatherElements/LessOrEqual/Where/ReduceSum),
+linear models (MatMul/Add/Sigmoid), MLPs (Gemm/Relu), featurizers
+(OneHot/Concat/Sub/Div) and output shaping (ArgMax/ReduceMean/Reshape).
 """
 from __future__ import annotations
 
@@ -134,7 +134,16 @@ def _transpose(ins, attrs):
 @register("Gather")
 def _gather(ins, attrs):
     # take rows of ins[0] indexed by ins[1] along axis (default 0)
-    return np.take(ins[0], ins[1].astype(np.int64), axis=attrs.get("axis", 0))
+    return np.take(ins[0], ins[1].astype(np.int64, copy=False), axis=attrs.get("axis", 0))
+
+
+@register("GatherElements")
+def _gather_elements(ins, attrs):
+    # out[i][j] = data[i][idx[i][j]] for axis=1 (ONNX GatherElements);
+    # the output has the shape of the indices
+    return np.take_along_axis(
+        ins[0], ins[1].astype(np.int64, copy=False), axis=attrs.get("axis", 0)
+    )
 
 
 @register("OneHot")

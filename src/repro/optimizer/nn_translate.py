@@ -1,7 +1,8 @@
 """NN translation rule (§4.2): swap MLPredict (classical MLD operator)
-for NNPredict (an onnxlite LA graph). The graph runs batch GEMMs
-instead of per-tree traversal — the executor can then choose the NN
-engine for this operator, as Raven's runtime selection does."""
+for NNPredict (an onnxlite LA graph). The graph runs batched tensor
+ops (one traversal over all trees of a forest, gathers and matmuls for
+linear models) — the executor can then choose the NN engine for this
+operator, as Raven's runtime selection does."""
 from __future__ import annotations
 
 import copy

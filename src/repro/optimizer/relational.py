@@ -31,6 +31,21 @@ from repro.ir.plan import Catalog, output_columns
 from repro.optimizer.rules import Rule
 
 
+def _preserved_sides(how: str) -> tuple[bool, bool]:
+    """(left, right): may a filter on that side's columns move below a
+    join of type ``how``? Only into a side whose rows the join keeps as
+    they are: an outer join pads the other side's unmatched rows with
+    NULLs, which a filter above it sees and one below it does not."""
+    how = how.lower().replace("_", "")
+    if how == "inner":
+        return True, True
+    if how in ("left", "leftouter"):
+        return True, False
+    if how in ("right", "rightouter"):
+        return False, True
+    return False, False  # full / outer, or a type this rule does not know
+
+
 def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
     """Push one Filter one step down, if legal."""
     child = f.child
@@ -47,12 +62,13 @@ def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
     if isinstance(child, Join):
         left_cols = set(output_columns(child.left, catalog))
         right_cols = set(output_columns(child.right, catalog))
+        to_left, to_right = _preserved_sides(child.how)
         left_terms, right_terms, keep = [], [], []
         for t in conjuncts(f.predicate):
             cols = t.columns()
-            if cols <= left_cols:
+            if to_left and cols <= left_cols:
                 left_terms.append(t)
-            elif cols <= right_cols:
+            elif to_right and cols <= right_cols:
                 right_terms.append(t)
             else:
                 keep.append(t)

@@ -31,6 +31,8 @@ def _data(n=300, d=5, seed=0):
 
 
 class TestTreeToGEMM:
+    """Single trees compiled to graphs (a forest of one tree)."""
+
     def test_matches_tree_predict_value(self):
         X, y = _data()
         t = DecisionTree(max_depth=5, min_samples_leaf=2).fit(X, y)
@@ -59,9 +61,7 @@ class TestTreeToGEMM:
         X, y = _data(100)
         t = DecisionTree(max_depth=6, min_samples_leaf=1).fit(X, y)
         g = tree_to_graph(t)
-        # intercept the leaf indicator: rerun manually up to 'lf'
-        g2 = optimize(g)
-        # run the unoptimized graph and grab the indicator tensor
+        # run the unoptimized graph and grab the final node index per row
         env = dict(g.initializers)
         env["X"] = X
         from repro.onnxlite.ops import KERNELS
@@ -70,9 +70,11 @@ class TestTreeToGEMM:
             env[node.output] = KERNELS[node.op_type](
                 [env[i] for i in node.inputs], node.attrs
             )
-        lf = env["t0_lf"]
-        np.testing.assert_allclose(lf.sum(axis=1), 1.0)
-        np.testing.assert_allclose(g2.run({"X": X})["value"], t.predict_value(X))
+        leaf_ids = env["leaf_ids"]
+        assert leaf_ids.shape == (1, len(X))
+        assert np.all(t.feature[leaf_ids[0]] == -1)
+        np.testing.assert_array_equal(leaf_ids[0], t.apply(X))
+        np.testing.assert_allclose(optimize(g).run({"X": X})["value"], t.predict_value(X))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6))
@@ -108,6 +110,43 @@ class TestForestToGraph:
         rf = RandomForest(n_trees=3, max_depth=3, seed=1).fit(X, y)
         g = optimize(forest_to_graph(rf))
         np.testing.assert_allclose(g.run({"X": X})["value"], rf.predict_proba(X))
+
+    def test_nan_feature_goes_right_at_that_node(self):
+        X, y = _data(400)
+        rf = RandomForest(n_trees=7, max_depth=5, max_features=0.6, seed=3).fit(X, y)
+        Xq = _data(300, seed=9)[0]
+        Xq[::3, 1] = np.nan
+        g = optimize(forest_to_graph(rf))
+        np.testing.assert_allclose(g.run({"X": Xq})["value"], rf.predict_proba(Xq))
+
+    def test_bootstrap_missed_a_class(self):
+        # class 2 is one row of 400: a bootstrap misses it with p ≈ 0.37
+        X, y = _data(400)
+        y[10] = 2
+        rf = RandomForest(n_trees=8, max_depth=4, seed=0).fit(X, y)
+        assert any(len(t.classes_) < 3 for t in rf.trees)
+        g = optimize(forest_to_graph(rf))
+        out = g.run({"X": X})["value"]
+        assert out.shape == (len(X), 3)
+        np.testing.assert_array_equal(out, rf.predict_proba(X))
+
+    def test_single_leaf_tree_in_forest(self):
+        X, y = _data(300)
+        rf = RandomForest(n_trees=3, max_depth=4, seed=5).fit(X, y)
+        stump = DecisionTree().fit(X[:, :2], np.ones(len(X), dtype=int))
+        assert stump.n_nodes == 1
+        rf.trees[1], rf.feature_subsets[1] = stump, np.array([0, 1])
+        g = optimize(forest_to_graph(rf))
+        np.testing.assert_array_equal(g.run({"X": X})["value"], rf.predict_proba(X))
+
+    def test_traversal_graph_survives_save_load(self, tmp_path):
+        from repro.onnxlite import InferenceSession, save_graph
+
+        X, y = _data(300)
+        rf = RandomForest(n_trees=5, max_depth=5, max_features=0.6, seed=4).fit(X, y)
+        sess = InferenceSession(save_graph(optimize(forest_to_graph(rf)), str(tmp_path / "rf")))
+        assert "GatherElements" in {n.op_type for n in sess.graph.nodes}
+        np.testing.assert_array_equal(sess.run({"X": X})["value"], rf.predict_proba(X))
 
 
 class TestLinearToGraph:
@@ -201,6 +240,42 @@ class TestPipelineToGraph:
             sess.run(feeds)["value"],
             pipe.model.predict_value(pipe.featurizer.transform(df)),
         )
+
+    def _unseen_codes(self, pipe, df):
+        q = df.copy()
+        q.loc[::4, "dest"] = "ORD"  # not a training category: code -1
+        feeds = pipe.featurizer.transform_codes(q)
+        assert (feeds["cat_dest"] == -1).sum() == len(q[::4])
+        return feeds
+
+    def test_embedding_bag_logistic_pipeline(self):
+        pipe, df = self._pipe(LogisticRegressionL1(alpha=0.001))
+        g = pipeline_to_graph(pipe)
+        feeds = self._unseen_codes(pipe, df)
+        rewritten = optimize(g)
+        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in rewritten.nodes)
+        for out in ("score", "proba"):
+            np.testing.assert_allclose(rewritten.run(feeds)[out], g.run(feeds)[out])
+
+    def test_embedding_bag_mlp_gemm_pipeline(self):
+        pipe, df = self._pipe(MLPClassifier(hidden=(8,), epochs=3, seed=1))
+        g = pipeline_to_graph(pipe)
+        feeds = self._unseen_codes(pipe, df)
+        rewritten = optimize(g)
+        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in rewritten.nodes)
+        np.testing.assert_allclose(rewritten.run(feeds)["score"], g.run(feeds)["score"])
+
+    def test_embedding_bag_flights_lr_graph(self):
+        from repro.datasets import flights
+        from repro.experiments.common import flights_lr_pipeline
+
+        pipe = flights_lr_pipeline(n_train=2_000)
+        g = pipeline_to_graph(pipe)
+        rewritten = optimize(g)
+        ops = {n.op_type for n in rewritten.nodes}
+        assert "OneHot" not in ops and "Concat" not in ops
+        feeds = pipe.featurizer.transform_codes(flights.frame(500, seed=7))
+        np.testing.assert_allclose(rewritten.run(feeds)["proba"], g.run(feeds)["proba"])
 
     def test_unsupported_model_raises(self):
         import pytest

@@ -74,6 +74,14 @@ class TestKernels:
         out = KERNELS["Gather"]([X, np.array([2, 0])], {"axis": 1})
         np.testing.assert_allclose(out, [[3.0, 1.0]])
 
+    def test_gather_elements_axis1(self):
+        X = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        idx = np.array([[2, 0, 0, 1], [1, 1, 2, 0]])
+        out = KERNELS["GatherElements"]([X, idx], {"axis": 1})
+        np.testing.assert_array_equal(out, [[3, 1, 1, 2], [5, 5, 6, 4]])
+        out0 = KERNELS["GatherElements"]([X, np.array([[1, 0, 1]])], {"axis": 0})
+        np.testing.assert_array_equal(out0, [[4, 2, 6]])
+
     def test_onehot(self):
         out = KERNELS["OneHot"]([np.array([0, 2, -1])], {"depth": 3})
         np.testing.assert_array_equal(out, [[1, 0, 0], [0, 0, 1], [0, 0, 0]])

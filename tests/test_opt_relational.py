@@ -25,7 +25,7 @@ from repro.ir.plan import pretty
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
 from repro.optimizer import CrossOptimizer
 from repro.optimizer.relational import FilterPushdown, PruneColumns, gather_constraints
-from repro.oracle import assert_equivalent
+from repro.oracle import _canon, assert_equivalent
 from repro.runtime.codegen import to_dataframe
 
 
@@ -142,6 +142,45 @@ class TestFilterPushdown:
             blood_tests=t["blood_tests"],
             prenatal_tests=t["prenatal_tests"],
         )
+
+
+    @pytest.mark.parametrize("how,pushed_left,pushed_right", [
+        ("inner", True, True),
+        ("left", True, False),
+        ("left_outer", True, False),
+        ("right", False, True),
+        ("full", False, False),
+        ("outer", False, False),
+    ])
+    def test_outer_join_pushes_into_preserved_side_only(self, catalog, how,
+                                                        pushed_left, pushed_right):
+        pred = And([Cmp("=", Col("pregnant"), Lit(1)), Cmp(">", Col("bp"), Lit(120))])
+        join = Join(Scan("patient_info"), Scan("blood_tests"), "pid", "pid", how=how)
+        out, changed = FilterPushdown().apply(Filter(join, pred), catalog)
+        assert changed == (pushed_left or pushed_right)
+        join_out = out if isinstance(out, Join) else out.child
+        assert isinstance(join_out.left, Filter) == pushed_left
+        assert isinstance(join_out.right, Filter) == pushed_right
+        kept = set() if isinstance(out, Join) else out.predicate.columns()
+        assert ("pregnant" in kept) != pushed_left
+        assert ("bp" in kept) != pushed_right
+
+    def test_left_join_right_predicate_keeps_results(self, spark, catalog):
+        t = hospital.tables(400, seed=4)
+        blood = t["blood_tests"]
+        blood = blood[blood["pid"] % 3 != 0]  # a third of the patients: no match
+        tables = {"patient_info": spark.createDataFrame(t["patient_info"]),
+                  "blood_tests": spark.createDataFrame(blood)}
+        plan = Project(
+            Filter(Join(Scan("patient_info"), Scan("blood_tests"), "pid", "pid", how="left"),
+                   Cmp(">", Col("bp"), Lit(115))),
+            [("pid", Col("pid")), ("age", Col("age")), ("bp", Col("bp"))],
+        )
+        out, _ = FilterPushdown().apply(plan, catalog)
+        got = to_dataframe(out, spark, tables).toPandas()
+        expected = to_dataframe(plan, spark, tables).toPandas()
+        assert len(expected) > 0
+        pd.testing.assert_frame_equal(_canon(got), _canon(expected), check_dtype=False)
 
 
 class TestPruneColumns:

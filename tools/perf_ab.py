@@ -13,8 +13,9 @@ The run length (``run_seconds``) and the end-to-end metrics come from
 ``BENCHMARK.json`` of this checkout. A gain is only claimed on at least
 ten pairs of runs, so the default is ten seeds.
 The output is one markdown table per workload: every seed's values on
-both sides, the medians, the change of the median in %, and the number
-of seeds on which the change was better.
+both sides, the medians, the change of the median in %, the number
+of seeds on which the change was better, and one verdict per metric
+(see ``verdict``).
 """
 from __future__ import annotations
 
@@ -70,6 +71,33 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """Verdict on one metric of one workload from paired runs
+    (``base[i]`` and ``change[i]`` share a seed):
+
+    * ``gain``: the change is better in at least 9/10 of the pairs (ties
+      count for neither) and the medians differ by more than the
+      distance between the parent's first and third quartile;
+    * ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` (a fraction of the parent's median);
+    * ``unresolved``: the parent's Q1–Q3 distance exceeds ``bound`` of
+      its median, and not every run of the change is better than every
+      run of the parent;
+    * ``no worse``: otherwise."""
+    sign = 1.0 if better == "lower" else -1.0  # times a value: lower is better
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    mb, mc = statistics.median(base), statistics.median(change)
+    q1, q3 = quartiles(base)
+    if 10 * wins >= 9 * len(base) and sign * (mb - mc) > q3 - q1:
+        return "gain"
+    if sign * (mc - mb) > bound * abs(mb):
+        return "worse"
+    all_better = max(sign * c for c in change) < min(sign * b for b in base)
+    if q3 - q1 > bound * abs(mb) and not all_better:
+        return "unresolved"
+    return "no worse"
+
+
 def table(workload: str, metrics: list[dict], runs: list[tuple[int, str, dict, dict]]) -> str:
     """Markdown: one row per seed, then medians, quartiles, change and
     wins."""
@@ -86,6 +114,7 @@ def table(workload: str, metrics: list[dict], runs: list[tuple[int, str, dict, d
         rows.append("| " + " | ".join(cells) + " |")
     medians, quarts = ["median", ""], ["Q1–Q3", ""]
     deltas, wins = ["change of median", ""], ["change better", ""]
+    verdicts = ["verdict", ""]
     for m in metrics:
         b = [r[2]["metrics"][m["name"]]["value"] for r in runs]
         c = [r[3]["metrics"][m["name"]]["value"] for r in runs]
@@ -96,7 +125,8 @@ def table(workload: str, metrics: list[dict], runs: list[tuple[int, str, dict, d
         deltas.append(f"{100 * (mc - mb) / mb:+.1f}%")
         better = sum((y < x) if m["better"] == "lower" else (y > x) for x, y in zip(b, c))
         wins.append(f"{better}/{len(runs)}")
-    for row in (medians, quarts, deltas, wins):
+        verdicts.append(verdict(b, c, m["better"], m["bound"]))
+    for row in (medians, quarts, deltas, wins, verdicts):
         rows.append("| " + " | ".join(row + ["", ""]) + " |")
     return "\n".join(rows)
 
