@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import hospital
 from repro.ir import MLPredict, Scan
-from repro.runtime.codegen import to_dataframe
+from repro.runtime.codegen import map_in_pandas
 from repro.runtime.executors import per_tuple_predict
 from repro.runtime.timing import force
 
@@ -26,7 +26,5 @@ def test_per_tuple_udf(benchmark, spark, sdf_small, hosp_tree):
 
 
 def test_batched_mapinpandas(benchmark, spark, sdf_small, hosp_tree):
-    out = to_dataframe(
-        MLPredict(Scan("t"), "m", hosp_tree, "pred"), spark, {"t": sdf_small}
-    )
+    out = map_in_pandas(MLPredict(Scan("t"), "m", hosp_tree, "pred"), sdf_small)
     benchmark.pedantic(lambda: force(out), rounds=3, warmup_rounds=1)

@@ -6,8 +6,9 @@ over 300K tuples stored in the DB (Spark tables) three ways:
 * **external** — the paper's baseline "running the decision tree in
   scikit-learn reading data from the DB": rows leave the engine
   (``toPandas``), are featurized, and traversed in the driver;
-* **inlined** — the tree compiled to a SQL CASE expression executed by
-  Spark (whole-stage codegen, fully parallel; no data movement);
+* **inlined** — the plan compiled by ``runtime.codegen``, which runs
+  the tree as a SQL CASE expression in Spark (whole-stage codegen,
+  fully parallel; no data movement);
 * **inlined+pruned** — the same with a ``pregnant=1`` selection, where
   predicate-based pruning first shrinks the tree (paper: 17× for
   inlining, 24.5× total with pruning).
@@ -18,7 +19,6 @@ from repro.datasets import hospital
 from repro.experiments.common import hospital_tree_pipeline
 from repro.ir import Catalog, Cmp, Col, Filter, Lit, MLPredict, Scan
 from repro.optimizer import CrossOptimizer, default_rules
-from repro.optimizer.inlining import ModelInlining
 from repro.runtime.codegen import to_dataframe
 from repro.runtime.timing import force, measure
 
@@ -28,14 +28,10 @@ def _plans(pipe, catalog):
     filt = MLPredict(
         Filter(Scan("joined"), Cmp("=", Col("pregnant"), Lit(1))), "los", pipe, "pred"
     )
-    inline_only = CrossOptimizer(rules=[ModelInlining()])
-    inline_full = CrossOptimizer(rules=default_rules() + [ModelInlining()])
     return {
-        "base": base,
-        "inlined": inline_only.optimize(base, catalog).plan,
-        "filtered": filt,
-        "inlined_filtered": inline_only.optimize(filt, catalog).plan,
-        "inlined+pruned": inline_full.optimize(filt, catalog).plan,
+        "inlined": base,
+        "inlined_filtered": filt,
+        "inlined+pruned": CrossOptimizer(default_rules()).optimize(filt, catalog).plan,
     }
 
 

@@ -3,14 +3,16 @@
 The same hospital-stay tree scored inside Spark two ways: one model
 invocation per tuple (scalar python UDF over a struct of the feature
 columns — what naive in-DB scoring does) vs batched Arrow inference
-(``mapInPandas``). Paper: batching bought about an order of magnitude.
+(codegen's ``map_in_pandas``, called directly: compiling the plan
+would inline the tree as SQL instead). Paper: batching bought about an
+order of magnitude.
 """
 from __future__ import annotations
 
 from repro.datasets import hospital
 from repro.experiments.common import hospital_tree_pipeline
 from repro.ir import MLPredict, Scan
-from repro.runtime.codegen import to_dataframe
+from repro.runtime.codegen import map_in_pandas
 from repro.runtime.executors import per_tuple_predict
 from repro.runtime.timing import force, measure
 
@@ -23,9 +25,7 @@ def run(spark, n_infer: int = 50_000, n_train: int = 20_000, seed: int = 0,
     sdf.count()
 
     per_tuple_df = per_tuple_predict(sdf, pipe, "pred")
-    batch_df = to_dataframe(
-        MLPredict(Scan("joined"), "los", pipe, "pred"), spark, {"joined": sdf}
-    )
+    batch_df = map_in_pandas(MLPredict(Scan("joined"), "los", pipe, "pred"), sdf)
     t_tuple = measure(lambda: force(per_tuple_df), warmup=1, runs=runs)
     t_batch = measure(lambda: force(batch_df), warmup=1, runs=runs)
     sdf.unpersist()

@@ -23,21 +23,6 @@ import pandas as pd
 from repro.ir.expr import Expr
 
 
-@dataclass(repr=False)
-class SqlExpr(Expr):
-    """A raw SQL scalar expression (used for inlined models). Tracks the
-    columns it references so pushdown rules stay correct."""
-
-    sql: str
-    cols: set[str] = field(default_factory=set)
-
-    def columns(self) -> set[str]:
-        return set(self.cols)
-
-    def to_sql(self) -> str:
-        return self.sql
-
-
 class PlanNode:
     """Base class; subclasses define ``children`` ordering."""
 

@@ -11,8 +11,9 @@ Rule inventory (module → paper optimization):
   features are dropped from model *and* data plan (§4.1).
 * ``clustering`` — model clustering: per-cluster precompiled models
   behind a cheap router (§4.1).
-* ``inlining`` — model inlining: trees and linear models become SQL
-  expressions executed by the relational engine (§4.2).
+* ``inlining`` — model inlining: the SQL translators for trees and
+  linear models (§4.2). Not a rule: ``runtime.codegen`` runs every
+  predict it can translate as SQL.
 * ``nn_translate`` — NN translation: classical pipelines become
   onnxlite graphs (§4.2).
 * ``splitting`` — model/query splitting: a tree's root split becomes a

@@ -1,12 +1,18 @@
 """Model inlining (§4.2): translate ML operators into SQL expressions
 so the relational engine executes them (no data movement, relational
 optimizer sees through them, whole-stage codegen compiles them).
+``runtime.codegen`` decides which predicts run in this form.
 
 * Decision trees become nested ``CASE WHEN col <= t THEN ... END``.
   Thresholds over standardized features are *inverted through the
-  scaler* (x ≤ t·s + m), so the generated SQL reads raw columns.
-* Linear/logistic models become an arithmetic expression; one-hot
-  blocks become per-category CASE terms.
+  scaler* (x ≤ t·s + m), so the generated SQL reads raw columns. A NULL
+  fails every ``<=`` and takes the ELSE (right) branch, as NaN does in
+  ``DecisionTree.apply``.
+* Linear/logistic models become an arithmetic expression. Each one-hot
+  block becomes one map lookup, ``coalesce(element_at(map_from_arrays(
+  keys, weights), col), 0)``: an unseen or NULL category gathers 0, as
+  the one-hot encoder's all-zero row does. A NULL numeric makes the
+  score NULL, which is what the pipeline's NaN score comes back as.
 
 This is the paper's SQL Server UDF-inlining path (Froid [32]): we skip
 the intermediate UDF and emit the inlined scalar expression directly —
@@ -14,18 +20,11 @@ Spark's Catalyst then optimizes/compiles it exactly as Froid intends.
 """
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from repro.ir import Col, PlanNode, Project, SqlExpr
-from repro.ir.ops import MLPredict
-from repro.ir.plan import Catalog, output_columns
-from repro.miniml.forest import RandomForest
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
-from repro.optimizer.rules import Rule
 
 
 def _fmt(v: float) -> str:
@@ -36,6 +35,16 @@ def _fmt(v: float) -> str:
     if "e" in s or "E" in s:
         return s
     return s + "E0"
+
+
+def _key(v) -> str:
+    """SQL literal of a category, typed like the column it was fitted
+    on: Spark's ``element_at`` needs the map key type to match."""
+    if isinstance(v, str):
+        return "'" + v.replace("'", "''") + "'"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return _fmt(v)
 
 
 def _raw_threshold(feat, feature_idx: int, t: float) -> tuple[str, float]:
@@ -54,6 +63,8 @@ def _raw_threshold(feat, feature_idx: int, t: float) -> tuple[str, float]:
 
 def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
     """Nested CASE WHEN expression computing the tree's prediction."""
+    if kind not in ("label", "proba"):
+        raise ValueError(f"a tree has no {kind!r} output")
 
     def leaf_sql(i: int) -> str:
         if tree.task == "classification":
@@ -75,37 +86,10 @@ def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
     return rec(0)
 
 
-def forest_to_sql(forest: RandomForest, feat, kind: str = "label") -> str:
-    """Average of per-tree CASE expressions. For classification this
-    inlines the positive-class probability average; ``label`` then
-    thresholds it (binary only — the SQL form of argmax over two
-    classes)."""
-    if forest.task == "classification" and len(forest.classes_) != 2:
-        raise ValueError("forest inlining supports binary classification only")
-
-    per_tree = []
-    for tree, cols in zip(forest.trees, forest.feature_subsets):
-        # member features index the subset; build a view with global idx
-        t = copy.copy(tree)
-        t.feature = np.array(
-            [int(cols[int(f)]) if f != LEAF else LEAF for f in tree.feature],
-            dtype=np.int64,
-        )
-        t.n_features = feat.n_features
-        sub_kind = "proba" if forest.task == "classification" else "label"
-        per_tree.append("(" + tree_to_sql(t, feat, kind=sub_kind) + ")")
-    mean = "(" + " + ".join(per_tree) + f") / {_fmt(forest.n_trees)}"
-    if forest.task == "classification":
-        if kind == "proba":
-            return mean
-        neg, pos = forest.classes_
-        return f"CASE WHEN {mean} > 0.5 THEN {_fmt(pos)} ELSE {_fmt(neg)} END"
-    return mean
-
-
 def linear_to_sql(model, feat, kind: str = "score") -> str:
-    """w·x + b over raw columns; one-hot features become CASE terms."""
+    """w·x + b over raw columns; each one-hot block is one map lookup."""
     terms = [_fmt(model.intercept_)]
+    blocks: dict[str, list[tuple[object, float]]] = {}
     for idx, spec in enumerate(feat.feature_specs):
         w = float(model.coef_[idx])
         if w == 0.0:
@@ -119,57 +103,32 @@ def linear_to_sql(model, feat, kind: str = "score") -> str:
             else:
                 terms.append(f"({_fmt(w)} * {col})")
         else:
-            _, col, cat = spec
-            lit = "'" + str(cat).replace("'", "''") + "'"
-            terms.append(f"(CASE WHEN {col} = {lit} THEN {_fmt(w)} ELSE 0.0 END)")
+            blocks.setdefault(spec[1], []).append((spec[2], w))
+    for col, entries in blocks.items():
+        keys = ", ".join(_key(cat) for cat, _ in entries)
+        weights = ", ".join(_fmt(w) for _, w in entries)
+        terms.append(
+            f"coalesce(element_at(map_from_arrays(array({keys}), array({weights})), "
+            f"{col}), 0.0E0)"
+        )
     score = "(" + " + ".join(terms) + ")"
     if kind == "score":
         return score
     if kind == "proba":
-        return f"(1.0 / (1.0 + EXP(-{score})))"
+        return f"(1.0E0 / (1.0E0 + EXP(-{score})))"
     if kind == "label":
-        return f"(CASE WHEN {score} > 0.0 THEN 1.0 ELSE 0.0 END)"
+        return f"(CASE WHEN {score} > 0.0E0 THEN 1.0E0 ELSE 0.0E0 END)"
     raise ValueError(f"bad kind {kind!r}")
 
 
 def inline_pipeline_sql(pipe: Pipeline, kind: str) -> str:
+    """The pipeline's ``kind`` output as one SQL expression. Raises
+    TypeError for a model with no SQL form, and ValueError for a tree
+    that splits on a one-hot feature."""
     model = pipe.model
     if isinstance(model, DecisionTree):
         return tree_to_sql(model, pipe.featurizer, kind=kind)
-    if isinstance(model, RandomForest):
-        return forest_to_sql(model, pipe.featurizer, kind=kind)
     if isinstance(model, (LogisticRegressionL1, LinearRegression)):
         k = "score" if isinstance(model, LinearRegression) else kind
         return linear_to_sql(model, pipe.featurizer, kind=k)
     raise TypeError(f"cannot inline {type(model).__name__}")
-
-
-class ModelInlining(Rule):
-    """Replace MLPredict nodes whose model is inlinable with a Project
-    computing the prediction as a SQL expression."""
-
-    name = "model_inlining"
-
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
-                try:
-                    sql = inline_pipeline_sql(node.pipeline, node.kind)
-                except (TypeError, ValueError):
-                    return node  # not inlinable (e.g. tree over one-hot)
-                child_cols = output_columns(node.child, catalog)
-                exprs = [(c, Col(c)) for c in child_cols]
-                exprs.append(
-                    (node.output_col, SqlExpr(sql, set(node.pipeline.input_cols)))
-                )
-                changed_any = True
-                return Project(node.child, exprs)
-            return node
-
-        return rewrite(plan), changed_any

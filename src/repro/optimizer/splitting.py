@@ -7,13 +7,15 @@ join with prenatal_tests can be dropped).
 The split predicate is expressed over the *raw* column (thresholds
 inverted through the scaler), so each branch's Filter is a plain
 relational predicate — which predicate-based pruning then consumes to
-specialize each branch's model further.
+specialize each branch's model further. A NULL in the split column
+goes right, as NaN does in ``DecisionTree.apply``: the right branch is
+``NOT(col <= t) OR col IS NULL``, so the UNION keeps every row.
 """
 from __future__ import annotations
 
 import copy
 
-from repro.ir import Cmp, Col, Filter, Lit, Not, PlanNode, Union
+from repro.ir import Cmp, Col, Filter, IsNull, Lit, Not, Or, PlanNode, Union
 from repro.ir.ops import MLPredict
 from repro.ir.plan import Catalog
 from repro.miniml.pipeline import Pipeline
@@ -44,7 +46,7 @@ def split_predict(node: MLPredict) -> Union | None:
     left.child = Filter(node.child, pred)
     left.pipeline = left_pipe
     right = copy.copy(node)
-    right.child = Filter(node.child, Not(pred))
+    right.child = Filter(node.child, Or(Not(pred), IsNull(Col(col))))
     right.pipeline = right_pipe
     return Union([left, right])
 

@@ -3,12 +3,29 @@ Spark DataFrame.
 
 Relational nodes become DataFrame operations (so Catalyst sees and
 further optimizes them — the paper's generated SQL plays the same
-role). Predict nodes become ``mapInPandas`` transformations whose
-batches are scored by the node's own ``predict_pandas`` — the
-DataFrame→DataFrame physical-operator pattern (a true JVM operator is
-out of scope, see DESIGN.md). This is the only in-process PREDICT path.
-Spark parallelizes scan+predict exactly like SQL Server does for
-PREDICT in Fig. 3(iii).
+role). This module is also the one place that picks the physical form
+of each predict, by model type:
+
+* An ``MLPredict`` of a decision tree (numeric splits) or of a linear
+  or logistic model is inlined (§4.2, ``optimizer.inlining``): a select
+  of its SQL expression over the child. Catalyst compiles it into the
+  scan's stage; no Python task, no Arrow round trip.
+* Every other predict — forests, MLPs, ``NNPredict`` graphs,
+  ``ClusteredPredict`` — becomes one ``mapInPandas`` whose batches are
+  scored by the node's own ``predict_pandas``: the
+  DataFrame→DataFrame physical-operator pattern (a true JVM operator is
+  out of scope, see DESIGN.md). Spark parallelizes scan+predict exactly
+  like SQL Server does for PREDICT in Fig. 3(iii).
+
+``tools/inline_probe.py`` measured the choice (250K rows, ``local[4]``
+on a 4-vCPU Xeon, median of 5 runs, Python vs inlined): the Fig. 1
+depth-6 tree 0.78 → 0.29 s; trees of depth 8-12 0.65-0.69 → 0.51-0.57
+s; the flights LR with 204 one-hot weights 0.72 → 0.27 s as map
+lookups (3.58 s as a CASE term per weight). Hospital forests of 5-6
+depth-6 trees inline in 0.19-0.24 s, but from 7 trees (110 CASE nodes)
+up the inlined form takes 0.58-0.63 s, no better than Python's
+0.62-0.69 s, so forests stay in Python until a cost model can tell the
+two apart.
 
 Every Python task pays a fixed start-up, almost all of it in pyspark's
 per-task ``importlib.invalidate_caches()``. On ``local[4]`` (4-vCPU
@@ -34,6 +51,7 @@ from __future__ import annotations
 from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, StructField, StructType
 
 from repro.ir import (
@@ -45,7 +63,9 @@ from repro.ir import (
     UDFNode,
     Union,
 )
-from repro.ir.ops import PREDICTS
+from repro.ir.ops import PREDICTS, MLPredict
+from repro.miniml.pipeline import Pipeline
+from repro.optimizer.inlining import inline_pipeline_sql
 
 
 def _predict_map_fn(node, drop=()):
@@ -65,20 +85,41 @@ def _predict_map_fn(node, drop=()):
     return fn
 
 
-def _predict_dataframe(node, spark: SparkSession, tables: dict[str, DataFrame],
-                       keep: set[str] | None = None) -> DataFrame:
-    """The in-process PREDICT: ``node``'s child, coalesced to one wave
-    of tasks, scored by ``mapInPandas``. Only the child columns in
-    ``keep`` (all when None) come back with the prediction column."""
-    child = to_dataframe(node.child, spark, tables).coalesce(
-        spark.sparkContext.defaultParallelism
-    )
+def map_in_pandas(node, child: DataFrame, keep: set[str] | None = None) -> DataFrame:
+    """``node`` scored in Python: ``child``, coalesced to one wave of
+    tasks, through ``mapInPandas``. Only the child columns in ``keep``
+    (all when None) come back with the prediction column."""
+    child = child.coalesce(child.sparkSession.sparkContext.defaultParallelism)
     if keep is None:
         keep = set(child.columns)
     fields = [f for f in child.schema.fields if f.name in keep]
     drop = [c for c in child.columns if c not in keep]
     schema = StructType(fields + [StructField(node.output_col, DoubleType())])
     return child.mapInPandas(_predict_map_fn(node, drop), schema=schema)
+
+
+def _inline_sql(node) -> str | None:
+    """The SQL form of ``node``, or None when it is scored in Python:
+    an ``MLPredict`` of a tree (numeric splits only) or of a linear
+    model inlines; forests, MLPs, graphs and clustered models do not."""
+    if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
+        return None
+    try:
+        return inline_pipeline_sql(node.pipeline, node.kind)
+    except (TypeError, ValueError):
+        return None
+
+
+def _predict_dataframe(node, spark: SparkSession, tables: dict[str, DataFrame],
+                       keep: set[str] | None = None) -> DataFrame:
+    """The in-process PREDICT, in the physical form ``_inline_sql``
+    picks. ``keep`` narrows a ``mapInPandas``'s output; Catalyst prunes
+    an inlined one itself."""
+    child = to_dataframe(node.child, spark, tables)
+    sql = _inline_sql(node)
+    if sql is None:
+        return map_in_pandas(node, child, keep)
+    return child.select("*", F.expr(sql).alias(node.output_col))
 
 
 def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFrame]) -> DataFrame:

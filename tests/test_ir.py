@@ -9,6 +9,7 @@ from repro.ir import (
     Cmp,
     Col,
     Filter,
+    IsNull,
     Join,
     Lit,
     MLPredict,
@@ -16,7 +17,6 @@ from repro.ir import (
     Or,
     Project,
     Scan,
-    SqlExpr,
     UDFNode,
     Union,
     and_all,
@@ -47,6 +47,7 @@ class TestExprSql:
                 "((x < 1) OR (x > 2))",
             ),
             (Cmp("=", Col("b"), Lit(True)), "(b = TRUE)"),
+            (IsNull(Col("x")), "(x IS NULL)"),
         ],
     )
     def test_to_sql(self, expr, sql):
@@ -183,11 +184,6 @@ class TestPlanUtils:
         cat = _catalog()
         u = Union([Scan("blood_tests"), Scan("blood_tests")])
         assert output_columns(u, cat) == ["pid", "bp"]
-
-    def test_sqlexpr_columns(self):
-        e = SqlExpr("CASE WHEN age > 3 THEN 1 ELSE 0 END", {"age"})
-        assert e.columns() == {"age"}
-        assert "CASE WHEN" in e.to_sql()
 
 
 class TestPredictNodes:

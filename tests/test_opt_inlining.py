@@ -1,28 +1,29 @@
 """Model inlining: generated SQL CASE/arithmetic expressions must equal
-the python model's predictions — verified through both DuckDB (oracle)
-and Spark."""
+the python model's predictions — verified through DuckDB (oracle) where
+it has the SQL functions, and row for row on Spark — and codegen runs
+exactly the trees and linear models in that form."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.datasets import hospital
-from repro.ir import Catalog, MLPredict, Project, Scan, walk
+from repro.ir import MLPredict, Scan
+from repro.ir.ops import pipeline_output
 from repro.miniml import (
     DecisionTree,
     LinearRegression,
     LogisticRegressionL1,
+    MLPClassifier,
     Pipeline,
     RandomForest,
     TableFeaturizer,
 )
 from repro.optimizer.inlining import (
-    ModelInlining,
-    forest_to_sql,
     inline_pipeline_sql,
     linear_to_sql,
     tree_to_sql,
 )
-from repro.runtime.codegen import to_dataframe
+from repro.runtime.codegen import map_in_pandas, to_dataframe
 
 
 def _duck_eval(sql_expr: str, pdf: pd.DataFrame) -> np.ndarray:
@@ -33,6 +34,18 @@ def _duck_eval(sql_expr: str, pdf: pd.DataFrame) -> np.ndarray:
     out = con.execute(f"SELECT {sql_expr} AS v FROM t").fetchdf()["v"].to_numpy()
     con.close()
     return out
+
+
+def _spark_eval(spark, sql_expr: str, pdf: pd.DataFrame) -> np.ndarray:
+    """``sql_expr`` over ``pdf`` on Spark, in row order."""
+    sdf = spark.createDataFrame(pdf.assign(_row=np.arange(len(pdf))))
+    out = sdf.selectExpr("_row", f"{sql_expr} AS v").orderBy("_row").toPandas()
+    return out["v"].to_numpy(dtype=np.float64)
+
+
+def _map_in_pandas_count(df) -> int:
+    """``MapInPandas`` operators in the physical plan of ``df``."""
+    return df._jdf.queryExecution().executedPlan().toString().count("MapInPandas")
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +108,8 @@ class TestTreeToSql:
 
 
 class TestLinearToSql:
-    def test_logistic_score_and_proba(self, hosp):
+    def test_logistic_score_and_proba(self, hosp, spark):
+        """One-hot blocks are map lookups, which DuckDB lacks: Spark."""
         y = (hosp["los"] > 7).astype(int).to_numpy()
         df = hosp.assign(ward=np.random.default_rng(0).choice(["a", "b", "c"], len(hosp)))
         pipe = Pipeline(
@@ -103,13 +117,26 @@ class TestLinearToSql:
             LogisticRegressionL1(alpha=0.001, max_iter=200),
         ).fit(df, y)
         sql_s = linear_to_sql(pipe.model, pipe.featurizer, kind="score")
+        assert "CASE" not in sql_s and sql_s.count("element_at") == 1
         np.testing.assert_allclose(
-            _duck_eval(sql_s, df), pipe.decision_function(df), atol=1e-9
+            _spark_eval(spark, sql_s, df), pipe.decision_function(df), atol=1e-9
         )
         sql_p = linear_to_sql(pipe.model, pipe.featurizer, kind="proba")
         np.testing.assert_allclose(
-            _duck_eval(sql_p, df), pipe.predict_proba(df)[:, 1], atol=1e-9
+            _spark_eval(spark, sql_p, df), pipe.predict_proba(df)[:, 1], atol=1e-9
         )
+
+    def test_numeric_logistic_matches_duckdb(self, hosp):
+        y = (hosp["los"] > 7).astype(int).to_numpy()
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age", "bp"]),
+            LogisticRegressionL1(alpha=0.001, max_iter=200),
+        ).fit(hosp, y)
+        for kind, ref in [("score", pipe.decision_function(hosp)),
+                          ("proba", pipe.predict_proba(hosp)[:, 1]),
+                          ("label", pipe.predict(hosp))]:
+            sql = linear_to_sql(pipe.model, pipe.featurizer, kind=kind)
+            np.testing.assert_allclose(_duck_eval(sql, hosp), ref, atol=1e-9)
 
     def test_linear_regression(self, hosp):
         pipe = Pipeline(
@@ -131,67 +158,114 @@ class TestLinearToSql:
             assert " b" not in sql
 
 
-class TestForestToSql:
-    def test_binary_forest_matches(self, hosp):
-        y = (hosp["los"] > 7).astype(int).to_numpy()
-        pipe = Pipeline(
-            TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
-            RandomForest(n_trees=3, max_depth=3, seed=0),
-        ).fit(hosp[hospital.FEATURES], y)
-        sql = forest_to_sql(pipe.model, pipe.featurizer, kind="proba")
-        np.testing.assert_allclose(
-            _duck_eval(sql, hosp), pipe.predict_proba(hosp)[:, 1], atol=1e-12
-        )
-
-    def test_regression_forest_matches(self, hosp):
-        pipe = Pipeline(
-            TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
-            RandomForest(n_trees=3, task="regression", max_depth=3, seed=0),
-        ).fit(hosp[hospital.FEATURES], hosp["los"].to_numpy())
-        sql = forest_to_sql(pipe.model, pipe.featurizer)
-        np.testing.assert_allclose(_duck_eval(sql, hosp), pipe.predict(hosp), atol=1e-12)
-
-
 class TestInliningRuleOnSpark:
     def test_inlined_plan_matches_mapinpandas(self, spark):
+        """Codegen runs a tree as SQL; its rows equal the same node
+        scored through ``map_in_pandas`` and the pipeline itself."""
         df = hospital.joined_frame(1500, seed=9)
-        catalog = Catalog().add_table("joined", list(df.columns), {"pid"})
         pipe = Pipeline(
             TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
             DecisionTree(task="regression", max_depth=4, min_samples_leaf=10),
         ).fit(df[hospital.FEATURES], df["los"].to_numpy())
         plan = MLPredict(Scan("joined"), "los", pipe, "pred")
-        inlined, changed = ModelInlining().apply(plan, catalog)
-        assert changed
-        assert isinstance(inlined, Project)
-        tables = {"joined": spark.createDataFrame(df)}
-        a = (
-            to_dataframe(plan, spark, tables)
-            .select("pid", "pred")
-            .toPandas()
-            .sort_values("pid")
-            .reset_index(drop=True)
-        )
-        b = (
-            to_dataframe(inlined, spark, tables)
-            .select("pid", "pred")
-            .toPandas()
-            .sort_values("pid")
-            .reset_index(drop=True)
-        )
+        sdf = spark.createDataFrame(df)
+        inlined = to_dataframe(plan, spark, {"joined": sdf})
+        assert _map_in_pandas_count(inlined) == 0
+
+        def rows(out):
+            return (out.select("pid", "pred").toPandas()
+                    .sort_values("pid").reset_index(drop=True))
+
+        a = rows(map_in_pandas(plan, sdf))
+        b = rows(inlined)
         pd.testing.assert_frame_equal(a, b)
+        ref = df[["pid"]].assign(pred=pipeline_output(pipe, df, "label"))
+        pd.testing.assert_frame_equal(
+            b, ref.sort_values("pid").reset_index(drop=True), check_dtype=False
+        )
 
-    def test_uninlinable_model_left_alone(self):
-        from repro.miniml import MLPClassifier
-
+    def test_uninlinable_model_left_alone(self, spark):
+        """An MLP or a forest runs in one ``mapInPandas``; a tree in none."""
         rng = np.random.default_rng(0)
-        df = pd.DataFrame({"a": rng.random(300)})
+        df = pd.DataFrame({"a": rng.random(300), "b": rng.random(300)})
         y = (df["a"] > 0.5).astype(int).to_numpy()
+        tables = {"t": spark.createDataFrame(df)}
+        for model, n in [
+            (MLPClassifier(hidden=(4,), epochs=2), 1),
+            (RandomForest(n_trees=3, max_depth=3, seed=0), 1),
+            (DecisionTree(max_depth=3), 0),
+        ]:
+            pipe = Pipeline(TableFeaturizer(numeric_cols=["a", "b"]), model).fit(df, y)
+            out = to_dataframe(MLPredict(Scan("t"), "m", pipe, "p", kind="proba"),
+                               spark, tables)
+            assert _map_in_pandas_count(out) == n, type(model).__name__
+            np.testing.assert_allclose(
+                out.toPandas()["p"].to_numpy(), pipeline_output(pipe, df, "proba"),
+                atol=1e-12,
+            )
+
+
+class TestNullAndUnseenOnSpark:
+    """Every inlined form equals ``pipeline_output`` row for row on data
+    with NULL numerics, NULL categories and categories unseen in
+    training: a NULL split value goes right, a NULL or unseen category
+    gathers no weight, a NULL numeric makes a linear score NULL."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(3)
+        n = 600
+        train = pd.DataFrame({
+            "age": rng.integers(18, 90, n).astype(float),
+            "bp": rng.normal(120, 15, n),
+            "ward": rng.choice(["a", "b", "c"], n),
+            "floor": rng.integers(1, 4, n),
+        })
+        y = ((train["age"] > 50) ^ (train["ward"] == "b")).astype(int).to_numpy()
+        score = train.copy()
+        score.loc[::7, "age"] = np.nan
+        score.loc[::5, "bp"] = np.nan
+        score["ward"] = score["ward"].astype(object)
+        score.loc[::6, "ward"] = None
+        score.loc[1::11, "ward"] = "zz"  # unseen in training
+        score["floor"] = score["floor"].astype("Int64")
+        score.loc[2::9, "floor"] = pd.NA
+        score.loc[3::13, "floor"] = 9  # unseen in training
+        return train, y, score
+
+    def _check(self, spark, pipe, kind, score):
+        node = MLPredict(Scan("t"), "m", pipe, "p", kind=kind)
+        sdf = spark.createDataFrame(score.assign(_row=np.arange(len(score))))
+        out = to_dataframe(node, spark, {"t": sdf})
+        assert _map_in_pandas_count(out) == 0
+        got = out.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
+        ref = pipeline_output(pipe, score, kind)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("kind", ["label", "proba"])
+    def test_tree(self, spark, data, scale, kind):
+        train, y, score = data
         pipe = Pipeline(
-            TableFeaturizer(numeric_cols=["a"]), MLPClassifier(hidden=(4,), epochs=2)
-        ).fit(df, y)
-        catalog = Catalog().add_table("t", ["a"], set())
-        plan = MLPredict(Scan("t"), "m", pipe, "p", kind="proba")
-        out, changed = ModelInlining().apply(plan, catalog)
-        assert not changed
-        assert isinstance(out, MLPredict)
+            TableFeaturizer(numeric_cols=["age", "bp"], scale=scale),
+            DecisionTree(max_depth=5, min_samples_leaf=5),
+        ).fit(train, y)
+        self._check(spark, pipe, kind, score)
+
+    @pytest.mark.parametrize("kind", ["score", "proba", "label"])
+    def test_logistic_with_onehot_blocks(self, spark, data, kind):
+        train, y, score = data
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["ward", "floor"]),
+            LogisticRegressionL1(alpha=1e-4, max_iter=300),
+        ).fit(train, y)
+        assert linear_to_sql(pipe.model, pipe.featurizer).count("element_at") == 2
+        self._check(spark, pipe, kind, score)
+
+    def test_linear_regression(self, spark, data):
+        train, _, score = data
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age"], categorical_cols=["ward"]),
+            LinearRegression(),
+        ).fit(train, train["bp"].to_numpy())
+        self._check(spark, pipe, "label", score)

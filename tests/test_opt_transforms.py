@@ -16,7 +16,7 @@ from repro.ir import (
     Union,
     walk,
 )
-from repro.ir.ops import ClusteredPredict
+from repro.ir.ops import ClusteredPredict, pipeline_output
 from repro.miniml import (
     DecisionTree,
     LogisticRegressionL1,
@@ -30,6 +30,7 @@ from repro.optimizer.clustering import compile_clustered, to_clustered_predict
 from repro.optimizer.nn_translate import NNTranslation, translate_predict
 from repro.optimizer.pruning import PredicateBasedModelPruning
 from repro.optimizer.splitting import ModelQuerySplitting, split_predict
+from repro.runtime.codegen import to_dataframe
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +196,22 @@ class TestModelQuerySplitting:
         got[lmask] = left.predict_pandas(hosp[lmask])
         got[~lmask] = right.predict_pandas(hosp[~lmask])
         np.testing.assert_allclose(got, full)
+
+    def test_null_split_value_goes_right(self, tree_pipe, hosp, spark):
+        """A NULL in the root's split column fails both ``col <= t`` and
+        its negation; it must reach the right branch, as NaN does in
+        ``DecisionTree.apply``, not drop out of the UNION."""
+        u = split_predict(MLPredict(Scan("t"), "m", tree_pipe, "pred"))
+        (col,) = u.children[0].child.predicate.columns()
+        data = hosp.astype({col: float})
+        data.loc[::10, col] = np.nan
+        got = (
+            to_dataframe(u, spark, {"t": spark.createDataFrame(data)})
+            .select("pid", "pred").toPandas().sort_values("pid")
+        )
+        ref = data.assign(pred=pipeline_output(tree_pipe, data, "label")).sort_values("pid")
+        assert len(got) == len(data)
+        np.testing.assert_allclose(got["pred"].to_numpy(), ref["pred"].to_numpy())
 
     def test_branches_smaller_than_original(self, tree_pipe):
         u = split_predict(MLPredict(Scan("t"), "m", tree_pipe, "pred"))

@@ -9,8 +9,7 @@ import pytest
 from repro.datasets import hospital
 from repro.ir import Catalog, Join, MLPredict, Project, Scan, walk
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
-from repro.optimizer import CrossOptimizer, default_rules
-from repro.optimizer.inlining import ModelInlining
+from repro.ir.ops import pipeline_output
 from repro.raven import Raven
 
 
@@ -99,13 +98,19 @@ class TestRunningExample:
         pd.testing.assert_frame_equal(got, ref, check_dtype=False)
 
     def test_inlined_run_matches(self, setup):
-        raven, _, _ = setup
-        plan = raven.analyze_sql(RUNNING_EXAMPLE)
-        opt = CrossOptimizer(rules=default_rules() + [ModelInlining()])
-        inlined = opt.optimize(plan, raven.catalog).plan
-        assert not any(isinstance(n, MLPredict) for n in walk(inlined))
-        a = raven.run(RUNNING_EXAMPLE).toPandas().sort_values("pid").reset_index(drop=True)
-        b = raven.execute(inlined).toPandas().sort_values("pid").reset_index(drop=True)
+        """The pruned tree runs as SQL, with no Python wave, and gives
+        what the pruned pipeline gives on the same rows."""
+        raven, _, train = setup
+        df = raven.run(RUNNING_EXAMPLE)
+        physical = df._jdf.queryExecution().executedPlan().toString()
+        assert "MapInPandas" not in physical
+        ml = next(n for n in walk(raven.optimize(raven.analyze_sql(RUNNING_EXAMPLE)).plan)
+                  if isinstance(n, MLPredict))
+        a = df.toPandas().sort_values("pid").reset_index(drop=True)
+        ref = train[train["pregnant"] == 1].copy()
+        ref["predicted_los"] = pipeline_output(ml.pipeline, ref, ml.kind)
+        ref = ref[ref["predicted_los"] > 7][["pid", "age", "predicted_los"]]
+        b = ref.sort_values("pid").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b, check_dtype=False)
 
     def test_python_script_path(self, setup):

@@ -1,0 +1,192 @@
+"""Time each model form scored in Python and inlined as SQL on Spark.
+
+    python3 tools/inline_probe.py [--rows 250000] [--runs 5]
+
+Spark runs on ``local[4]`` with a 2 GB driver, as ``perfbench`` does.
+Each input table is cached in 8 partitions. Every time is the median
+of ``--runs`` ``force`` runs after one warm-up. "python" is
+``codegen.map_in_pandas``: one wave of Python tasks, the form codegen
+gives forests, MLPs and graphs. "inlined" is the model's SQL expression
+selected over the same cached table. The printed markdown table has
+one row per form:
+
+* the Fig. 1 depth-6 hospital regression tree, and the same tree
+  trained to depth 8, 10 and 12;
+* the flights logistic regression of the ``flights-graph`` workload,
+  with its one-hot blocks as one CASE term per category (``case``) and
+  as one map lookup per column (``map``, what ``linear_to_sql`` emits);
+* depth-6 hospital forests of 5 to 10 trees (the first k trees of one
+  10-tree forest), inlined as the mean of their trees' CASE expressions.
+
+``CASE nodes`` and ``maps`` count the expression's size. ``max_abs_diff``
+compares the inlined output with ``pipeline_output`` in the driver.
+"""
+from __future__ import annotations
+
+import argparse
+import copy
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PARTITIONS = 8
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--rows", type=int, default=250_000)
+    p.add_argument("--runs", type=int, default=5)
+    return p.parse_args(argv)
+
+
+def start_spark():
+    os.environ.setdefault("PYSPARK_SUBMIT_ARGS", " ".join([
+        "--master local[4]", "--driver-memory 2g",
+        "--conf spark.driver.host=127.0.0.1", "--conf spark.ui.enabled=false",
+        "--conf spark.ui.showConsoleProgress=false", "pyspark-shell",
+    ]))
+    src = os.path.join(ROOT, "src")
+    path = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    sys.path.insert(0, src)
+    from pyspark.sql import SparkSession
+
+    spark = (
+        SparkSession.builder.appName("inline_probe")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
+
+
+def linear_case_sql(pipe) -> str:
+    """P[class 1] of a logistic pipeline with one CASE term per nonzero
+    one-hot weight: ``linear_to_sql`` over the numeric weights, plus the
+    categorical ones as CASE terms."""
+    import numpy as np
+
+    from repro.optimizer.inlining import _fmt, _key, linear_to_sql
+
+    specs = pipe.featurizer.feature_specs
+    is_cat = np.array([s[0] == "cat" for s in specs])
+    numeric = copy.copy(pipe.model)
+    numeric.coef_ = np.where(is_cat, 0.0, pipe.model.coef_)
+    terms = [linear_to_sql(numeric, pipe.featurizer, kind="score")]
+    for spec, w in zip(specs, pipe.model.coef_):
+        if spec[0] == "cat" and w != 0.0:
+            terms.append(f"(CASE WHEN {spec[1]} = {_key(spec[2])} THEN {_fmt(w)} "
+                         "ELSE 0.0E0 END)")
+    return f"(1.0E0 / (1.0E0 + EXP(-({' + '.join(terms)}))))"
+
+
+def forest_sql(forest, feat) -> str:
+    """P[class 1] of a binary forest: the mean of its trees' CASE
+    expressions, each tree's features mapped back to the full set."""
+    import numpy as np
+
+    from repro.miniml.tree import LEAF
+    from repro.optimizer.inlining import _fmt, tree_to_sql
+
+    parts = []
+    for tree, cols in zip(forest.trees, forest.feature_subsets):
+        t = copy.copy(tree)
+        t.feature = np.array([cols[f] if f != LEAF else LEAF for f in tree.feature])
+        parts.append(f"({tree_to_sql(t, feat, kind='proba')})")
+    return f"(({' + '.join(parts)}) / {_fmt(len(parts))})"
+
+
+def sub_forest(pipe, k: int):
+    """The pipeline's first ``k`` trees as a forest of their own."""
+    from repro.miniml import Pipeline
+
+    forest = copy.copy(pipe.model)
+    forest.trees, forest.feature_subsets = forest.trees[:k], forest.feature_subsets[:k]
+    forest.n_trees = k
+    return Pipeline(pipe.featurizer, forest)
+
+
+def median_s(df, runs: int) -> float:
+    from repro.runtime.timing import force
+
+    force(df)
+    times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        force(df)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def probe(spark, forms, runs: int) -> list[dict]:
+    """``forms``: (name, cached table, pandas twin, pipeline, kind, SQL)."""
+    import numpy as np
+    from pyspark.sql import functions as F
+
+    from repro.ir import MLPredict, Scan
+    from repro.ir.ops import pipeline_output
+    from repro.runtime.codegen import map_in_pandas
+
+    rows = []
+    for name, sdf, pdf, pipe, kind, sql in forms:
+        node = MLPredict(Scan("t"), name, pipe, "p", kind=kind)
+        inlined = sdf.select("_row", F.expr(sql).alias("p"))
+        got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
+        diff = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
+        rows.append({
+            "form": name, "CASE nodes": sql.count("CASE WHEN"),
+            "maps": sql.count("element_at"),
+            "python_s": median_s(map_in_pandas(node, sdf), runs),
+            "inlined_s": median_s(inlined, runs), "max_abs_diff": diff,
+        })
+        print(rows[-1], file=sys.stderr, flush=True)
+    return rows
+
+
+def main(argv=None) -> None:
+    args = parse_args(argv)
+    spark = start_spark()
+    import numpy as np
+
+    from repro.datasets import flights, hospital
+    from repro.experiments.common import (
+        fmt_table,
+        flights_lr_pipeline,
+        hospital_forest_pipeline,
+        hospital_tree_pipeline,
+    )
+    from repro.optimizer.inlining import inline_pipeline_sql
+
+    def cached(pdf):
+        pdf = pdf.assign(_row=np.arange(len(pdf)))
+        sdf = spark.createDataFrame(pdf).repartition(PARTITIONS).cache()
+        sdf.count()
+        return sdf, pdf
+
+    hosp, hosp_pd = cached(hospital.joined_frame(args.rows, seed=1, with_label=False))
+    fl, fl_pd = cached(flights.frame(args.rows, seed=1))
+    forms = []
+    for depth in (6, 8, 10, 12):
+        pipe = hospital_tree_pipeline(n_train=20_000, seed=0, max_depth=depth)
+        forms.append((f"tree depth {depth}", hosp, hosp_pd, pipe, "label",
+                      inline_pipeline_sql(pipe, "label")))
+    lr = flights_lr_pipeline(n_train=5_000, alpha=1e-5, seed=0)
+    forms.append(("flights LR, case", fl, fl_pd, lr, "proba", linear_case_sql(lr)))
+    forms.append(("flights LR, map", fl, fl_pd, lr, "proba", inline_pipeline_sql(lr, "proba")))
+    forest = hospital_forest_pipeline(n_train=20_000, seed=0, n_trees=10, max_depth=6)
+    for k in range(5, 11):
+        pipe = sub_forest(forest, k)
+        forms.append((f"forest {k} trees", hosp, hosp_pd, pipe, "proba",
+                      forest_sql(pipe.model, pipe.featurizer)))
+    n_weights = int(sum(w != 0 for s, w in zip(lr.featurizer.feature_specs, lr.model.coef_)
+                        if s[0] == "cat"))
+    print(f"## Inlined vs Python, {args.rows} rows, local[4], median of {args.runs} runs")
+    print(f"(flights LR: {n_weights} nonzero one-hot weights)\n")
+    print(fmt_table(probe(spark, forms, args.runs)))
+    spark.stop()
+
+
+if __name__ == "__main__":
+    main()
