@@ -34,7 +34,7 @@ from repro.ir import (
     Scan,
     UDFNode,
 )
-from repro.ir.plan import Catalog, output_columns
+from repro.ir.plan import Catalog, walk
 
 _CMP_MAP = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
@@ -154,7 +154,7 @@ class _ScriptAnalyzer:
         base tables (catalog-declared referential integrity)."""
 
         def unique_in(p: PlanNode) -> bool:
-            scans = [n for n in _walk(p) if isinstance(n, Scan)]
+            scans = [n for n in walk(p) if isinstance(n, Scan)]
             return any(on in self.catalog.unique_keys.get(s.table, set()) for s in scans)
 
         return unique_in(left) and unique_in(right)
@@ -244,12 +244,6 @@ class _ScriptAnalyzer:
         )
         env.last_assigned = out_var
         return env
-
-
-def _walk(p: PlanNode):
-    for c in p.children:
-        yield from _walk(c)
-    yield p
 
 
 def analyze_script(

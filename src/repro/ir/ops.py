@@ -9,9 +9,11 @@ optimizer sees model internals and data operators in one DAG.
 Every predict-style node implements ``predict_pandas(pdf) -> np.ndarray``.
 What a predict emits for each ``kind`` is written once per physical
 form: ``pipeline_output`` for a miniml pipeline and ``graph_output`` for
-an onnxlite graph. Predict nodes, the Spark codegen (``mapInPandas``
-over ``predict_pandas``), the external-script worker and the standalone
-engine runs of the experiments all go through these two functions.
+an onnxlite graph. Predict nodes, the external-script worker and the
+standalone engine runs of the experiments all go through these two
+functions. The Spark codegen inlines a tree or linear-model
+``MLPredict`` as its SQL expression and scores every other predict in
+``mapInPandas`` over ``predict_pandas``.
 """
 from __future__ import annotations
 
@@ -40,6 +42,20 @@ class PlanNode:
         return type(self).__name__
 
 
+class UnaryNode(PlanNode):
+    """A node over one input, ``child``; ``children`` is ``[child]``."""
+
+    child: PlanNode
+
+    @property
+    def children(self) -> list[PlanNode]:
+        return [self.child]
+
+    @children.setter
+    def children(self, cs: list[PlanNode]) -> None:
+        (self.child,) = cs
+
+
 @dataclass(eq=False)
 class Scan(PlanNode):
     table: str
@@ -50,37 +66,21 @@ class Scan(PlanNode):
 
 
 @dataclass(eq=False)
-class Filter(PlanNode):
+class Filter(UnaryNode):
     child: PlanNode
     predicate: Expr
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     def label(self) -> str:
         return f"Filter({self.predicate.to_sql()})"
 
 
 @dataclass(eq=False)
-class Project(PlanNode):
+class Project(UnaryNode):
     """Projection with optional computed columns: ``exprs`` maps output
     name → expression (a bare ``Col`` for passthrough)."""
 
     child: PlanNode
     exprs: list[tuple[str, Expr]]
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     @property
     def output_names(self) -> list[str]:
@@ -181,7 +181,7 @@ def graph_output(run, featurizer, pdf: pd.DataFrame, kind: str,
 
 
 @dataclass(eq=False)
-class MLPredict(PlanNode):
+class MLPredict(UnaryNode):
     """Classical-ML scoring (MLD operator): a miniml ``Pipeline``
     applied to the child's rows, appending column ``output_col``.
 
@@ -196,14 +196,6 @@ class MLPredict(PlanNode):
     kind: str = "label"
 
     @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
-
-    @property
     def input_cols(self) -> list[str]:
         return list(self.pipeline.input_cols)
 
@@ -215,7 +207,7 @@ class MLPredict(PlanNode):
 
 
 @dataclass(eq=False)
-class NNPredict(PlanNode):
+class NNPredict(UnaryNode):
     """LA-operator scoring: an onnxlite graph fed through the
     featurizer's code/numeric inputs (NN-translated pipeline)."""
 
@@ -226,14 +218,6 @@ class NNPredict(PlanNode):
     output_col: str
     kind: str = "label"
     classes: np.ndarray | None = None  # for label output of tree/forest graphs
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     @property
     def input_cols(self) -> list[str]:
@@ -247,7 +231,7 @@ class NNPredict(PlanNode):
 
 
 @dataclass(eq=False)
-class ClusteredPredict(PlanNode):
+class ClusteredPredict(UnaryNode):
     """Model-clustering execution: route each row to its (offline
     k-means) cluster and score with that cluster's precompiled model."""
 
@@ -257,14 +241,6 @@ class ClusteredPredict(PlanNode):
     cluster_pipelines: list  # per-cluster miniml.Pipeline
     output_col: str
     kind: str = "proba"
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     @property
     def input_cols(self) -> list[str]:
@@ -290,7 +266,7 @@ class ClusteredPredict(PlanNode):
 
 
 @dataclass(eq=False)
-class UDFNode(PlanNode):
+class UDFNode(UnaryNode):
     """Black-box Python over pandas batches: ``fn(pdf) -> pdf``. The
     static analyzer emits this for code it cannot map to IR operators."""
 
@@ -299,14 +275,6 @@ class UDFNode(PlanNode):
     description: str = "udf"
     # columns the UDF reads; None = unknown → treat as "all" (blocks pushdown)
     required_cols: list[str] | None = None
-
-    @property
-    def children(self) -> list[PlanNode]:
-        return [self.child]
-
-    @children.setter
-    def children(self, cs: list[PlanNode]) -> None:
-        (self.child,) = cs
 
     def label(self) -> str:
         return f"UDF({self.description})"

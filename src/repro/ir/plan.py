@@ -40,7 +40,10 @@ def walk(node: PlanNode) -> Iterator[PlanNode]:
 
 
 def transform_bottom_up(node: PlanNode, fn: Callable[[PlanNode], PlanNode]) -> PlanNode:
-    """Rebuild the plan bottom-up, applying ``fn`` at every node."""
+    """Rebuild the plan bottom-up, applying ``fn`` at every node. A node
+    whose children all come back as the same objects is not copied, so
+    where ``fn`` returns every node unchanged the root is ``node``
+    itself (``Rule.apply`` reads "no change" from that)."""
     new_children = [transform_bottom_up(c, fn) for c in node.children]
     if new_children != node.children:
         node = node.with_children(new_children)

@@ -1,6 +1,7 @@
 """Random forests: bagged CART trees with feature subsampling."""
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,3 +102,24 @@ class RandomForest:
                 acc += v
             out[r] = acc / self.n_trees
         return out
+
+
+def tree_members(model: DecisionTree | RandomForest) -> list[tuple[DecisionTree, np.ndarray]]:
+    """(tree, feature subset) per member tree: a ``DecisionTree`` is a
+    forest of one member over every feature."""
+    if isinstance(model, DecisionTree):
+        return [(model, np.arange(model.n_features))]
+    return list(zip(model.trees, model.feature_subsets))
+
+
+def with_members(model: DecisionTree | RandomForest, trees: list[DecisionTree],
+                 subsets: list[np.ndarray]) -> DecisionTree | RandomForest:
+    """``model`` with new member trees and feature subsets. A tree comes
+    back as a ``DecisionTree`` (its one subset is the identity again),
+    because codegen picks a predict's physical form by model type."""
+    if isinstance(model, DecisionTree):
+        (tree,) = trees
+        return tree
+    out = copy.copy(model)
+    out.trees, out.feature_subsets = list(trees), list(subsets)
+    return out

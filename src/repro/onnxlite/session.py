@@ -27,12 +27,12 @@ from repro.onnxlite.serialize import load_graph
 class InferenceSession:
     """Load a model directory and expose ``run(feeds)``."""
 
-    def __init__(self, path_or_graph: str | Graph, do_optimize: bool = True):
+    def __init__(self, path_or_graph: str | Graph):
         if isinstance(path_or_graph, Graph):
             g = path_or_graph
         else:
             g = load_graph(path_or_graph)
-        self.graph = optimize(g) if do_optimize else g
+        self.graph = optimize(g)
         self.graph.validate()
 
     @property

@@ -5,8 +5,6 @@ linear models) — the executor can then choose the NN engine for this
 operator, as Raven's runtime selection does."""
 from __future__ import annotations
 
-import copy
-
 from repro.ir import PlanNode
 from repro.ir.ops import MLPredict, NNPredict
 from repro.ir.plan import Catalog
@@ -40,21 +38,10 @@ def translate_predict(node: MLPredict) -> NNPredict:
 class NNTranslation(Rule):
     name = "nn_translation"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
-                try:
-                    translated = translate_predict(node)
-                except TypeError:
-                    return node
-                changed_any = True
-                return translated
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
             return node
-
-        return rewrite(plan), changed_any
+        try:
+            return translate_predict(node)
+        except TypeError:
+            return node

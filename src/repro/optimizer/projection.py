@@ -12,13 +12,14 @@ provides features needed by the model").
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 
 from repro.ir import PlanNode
 from repro.ir.ops import MLPredict
 from repro.ir.plan import Catalog
-from repro.miniml.forest import RandomForest
+from repro.miniml.forest import RandomForest, tree_members, with_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
@@ -39,51 +40,21 @@ def shrink_linear(pipe: Pipeline) -> tuple[Pipeline, bool]:
     return Pipeline(new_feat, new_model), True
 
 
-def _remap_tree(tree: DecisionTree, old_to_new: dict[int, int], n_new: int) -> DecisionTree:
-    out = copy.copy(tree)
-    out.feature = np.array(
-        [old_to_new[f] if f != LEAF else LEAF for f in tree.feature], dtype=np.int64
-    )
-    out.n_features = n_new
-    return out
-
-
-def shrink_tree(pipe: Pipeline) -> tuple[Pipeline, bool]:
-    """Drop features never tested by any split of a tree pipeline."""
-    tree: DecisionTree = pipe.model
-    used = {int(f) for f in tree.feature if f != LEAF}
+def shrink_trees(pipe: Pipeline) -> tuple[Pipeline, bool]:
+    """Drop features no split of any member tree tests (a tree is a
+    forest of one member)."""
+    members = tree_members(pipe.model)
+    used = {int(cols[int(f)]) for tree, cols in members for f in tree.feature if f != LEAF}
     names = pipe.featurizer.feature_names
     unused = {names[i] for i in range(len(names)) if i not in used}
     if not unused:
         return pipe, False
     new_feat, keep = pipe.featurizer.drop_features(unused)
     old_to_new = {int(o): n for n, o in enumerate(keep)}
-    return Pipeline(new_feat, _remap_tree(tree, old_to_new, len(keep))), True
-
-
-def shrink_forest(pipe: Pipeline) -> tuple[Pipeline, bool]:
-    """Drop features unused by *every* member tree of a forest."""
-    forest: RandomForest = pipe.model
-    used: set[int] = set()
-    for tree, cols in zip(forest.trees, forest.feature_subsets):
-        for f in tree.feature:
-            if f != LEAF:
-                used.add(int(cols[int(f)]))
-    names = pipe.featurizer.feature_names
-    unused = {names[i] for i in range(len(names)) if i not in used}
-    if not unused:
-        return pipe, False
-    new_feat, keep = pipe.featurizer.drop_features(unused)
-    old_to_new = {int(o): n for n, o in enumerate(keep)}
-    new_forest = copy.copy(forest)
-    new_forest.feature_subsets = [
-        np.array([old_to_new[int(c)] for c in cols if int(c) in old_to_new], dtype=np.int64)
-        for cols in forest.feature_subsets
-    ]
     # member trees index into their subset, which keeps only used
     # global features — remap each tree's local feature indices
-    new_trees = []
-    for tree, cols in zip(forest.trees, forest.feature_subsets):
+    trees, subsets = [], []
+    for tree, cols in members:
         local_keep = [i for i, c in enumerate(cols) if int(c) in old_to_new]
         local_map = {old: new for new, old in enumerate(local_keep)}
         t = copy.copy(tree)
@@ -92,18 +63,16 @@ def shrink_forest(pipe: Pipeline) -> tuple[Pipeline, bool]:
             dtype=np.int64,
         )
         t.n_features = len(local_keep)
-        new_trees.append(t)
-    new_forest.trees = new_trees
-    return Pipeline(new_feat, new_forest), True
+        trees.append(t)
+        subsets.append(np.array([old_to_new[int(cols[i])] for i in local_keep], dtype=np.int64))
+    return Pipeline(new_feat, with_members(pipe.model, trees, subsets)), True
 
 
 def shrink_pipeline(pipe: Pipeline) -> tuple[Pipeline, bool]:
     if isinstance(pipe.model, (LogisticRegressionL1, LinearRegression)):
         return shrink_linear(pipe)
-    if isinstance(pipe.model, DecisionTree):
-        return shrink_tree(pipe)
-    if isinstance(pipe.model, RandomForest):
-        return shrink_forest(pipe)
+    if isinstance(pipe.model, (DecisionTree, RandomForest)):
+        return shrink_trees(pipe)
     return pipe, False
 
 
@@ -112,20 +81,8 @@ class ModelProjectionPushdown(Rule):
 
     name = "model_projection_pushdown"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
-                new_pipe, changed = shrink_pipeline(node.pipeline)
-                if changed:
-                    changed_any = True
-                    node = copy.copy(node)
-                    node.pipeline = new_pipe
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
             return node
-
-        return rewrite(plan), changed_any
+        new_pipe, changed = shrink_pipeline(node.pipeline)
+        return replace(node, pipeline=new_pipe) if changed else node

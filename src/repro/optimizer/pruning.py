@@ -15,13 +15,14 @@ the model will ever see, so the model can be specialized:
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 
 from repro.ir import Constraint, PlanNode
 from repro.ir.ops import MLPredict
 from repro.ir.plan import Catalog
-from repro.miniml.forest import RandomForest
+from repro.miniml.forest import RandomForest, tree_members, with_members
 from repro.miniml.linear import LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
@@ -132,27 +133,16 @@ def prune_pipeline(pipe: Pipeline, col_constraints: dict) -> tuple[Pipeline, boo
             model.intercept_ = float(bias)
 
     # 2. numeric interval constraints → tree branch pruning
+    #    (a tree is a forest of one member)
     fc = _feature_constraints(Pipeline(featurizer, model), col_constraints)
-    if fc and isinstance(model, DecisionTree):
-        pruned = prune_tree(model, fc)
-        if pruned.n_nodes < model.n_nodes:
-            model = pruned
-            changed = True
-    elif fc and isinstance(model, RandomForest):
-        model = copy.copy(model)
-        new_trees = []
-        tree_changed = False
-        for tree, cols in zip(model.trees, model.feature_subsets):
-            sub_fc = {
-                int(np.where(cols == gi)[0][0]): c
-                for gi, c in fc.items()
-                if gi in set(cols.tolist())
-            }
-            pt = prune_tree(tree, sub_fc) if sub_fc else tree
-            tree_changed |= pt.n_nodes < tree.n_nodes
-            new_trees.append(pt)
-        if tree_changed:
-            model.trees = new_trees
+    if fc and isinstance(model, (DecisionTree, RandomForest)):
+        members = tree_members(model)
+        trees = []
+        for tree, cols in members:
+            sub_fc = {i: fc[int(gi)] for i, gi in enumerate(cols) if int(gi) in fc}
+            trees.append(prune_tree(tree, sub_fc) if sub_fc else tree)
+        if any(pt.n_nodes < tree.n_nodes for pt, (tree, _) in zip(trees, members)):
+            model = with_members(model, trees, [cols for _, cols in members])
             changed = True
 
     if not changed:
@@ -166,22 +156,8 @@ class PredicateBasedModelPruning(Rule):
 
     name = "predicate_based_model_pruning"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline):
-                cons = gather_constraints(node.child)
-                if cons:
-                    new_pipe, changed = prune_pipeline(node.pipeline, cons)
-                    if changed:
-                        changed_any = True
-                        node = copy.copy(node)
-                        node.pipeline = new_pipe
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
             return node
-
-        return rewrite(plan), changed_any
+        new_pipe, changed = prune_pipeline(node.pipeline, gather_constraints(node.child))
+        return replace(node, pipeline=new_pipe) if changed else node

@@ -14,7 +14,6 @@ read filters gathered below predict operators.
 from __future__ import annotations
 
 from repro.ir import (
-    And,
     Col,
     Filter,
     Join,
@@ -32,10 +31,12 @@ from repro.optimizer.rules import Rule
 
 
 def _preserved_sides(how: str) -> tuple[bool, bool]:
-    """(left, right): may a filter on that side's columns move below a
-    join of type ``how``? Only into a side whose rows the join keeps as
-    they are: an outer join pads the other side's unmatched rows with
-    NULLs, which a filter above it sees and one below it does not."""
+    """(left, right): does a join of type ``how`` keep that side's rows
+    as they are? Only then may a filter on its columns move below the
+    join, and only then does a filter below the join constrain the
+    join's output rows: an outer join pads the other side's unmatched
+    rows with NULLs, which a filter above it sees and one below it does
+    not."""
     how = how.lower().replace("_", "")
     if how == "inner":
         return True, True
@@ -46,19 +47,19 @@ def _preserved_sides(how: str) -> tuple[bool, bool]:
     return False, False  # full / outer, or a type this rule does not know
 
 
-def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
-    """Push one Filter one step down, if legal."""
+def _push_filter_once(f: Filter, catalog: Catalog) -> PlanNode:
+    """Push one Filter one step down, if legal; ``f`` itself if not."""
     child = f.child
     if isinstance(child, Filter):  # merge adjacent filters
-        return Filter(child.child, and_all(conjuncts(f.predicate) + conjuncts(child.predicate))), True
+        return Filter(child.child, and_all(conjuncts(f.predicate) + conjuncts(child.predicate)))
     if isinstance(child, Project):
         # swap when every referenced column is a passthrough projection
         passthrough = {
             n for n, e in child.exprs if isinstance(e, Col) and e.name == n
         }
         if f.predicate.columns() <= passthrough:
-            return Project(Filter(child.child, f.predicate), child.exprs), True
-        return f, False
+            return Project(Filter(child.child, f.predicate), child.exprs)
+        return f
     if isinstance(child, Join):
         left_cols = set(output_columns(child.left, catalog))
         right_cols = set(output_columns(child.right, catalog))
@@ -73,24 +74,21 @@ def _push_filter_once(f: Filter, catalog: Catalog) -> tuple[PlanNode, bool]:
             else:
                 keep.append(t)
         if not left_terms and not right_terms:
-            return f, False
+            return f
         new_left = Filter(child.left, and_all(left_terms)) if left_terms else child.left
         new_right = Filter(child.right, and_all(right_terms)) if right_terms else child.right
         new_join = Join(new_left, new_right, child.left_on, child.right_on,
                         how=child.how, fk_one_to_one=child.fk_one_to_one)
-        if keep:
-            return Filter(new_join, and_all(keep)), True
-        return new_join, True
+        return Filter(new_join, and_all(keep)) if keep else new_join
     if isinstance(child, PREDICTS):
         # a predicate that does not touch the prediction output commutes
         # with the predict operator
         if child.output_col not in f.predicate.columns():
-            pushed = child.with_children([Filter(child.child, f.predicate)])
-            return pushed, True
-        return f, False
+            return child.with_children([Filter(child.child, f.predicate)])
+        return f
     if isinstance(child, Union):
-        return Union([Filter(c, f.predicate) for c in child.children]), True
-    return f, False
+        return Union([Filter(c, f.predicate) for c in child.children])
+    return f
 
 
 class FilterPushdown(Rule):
@@ -98,23 +96,14 @@ class FilterPushdown(Rule):
 
     name = "filter_pushdown"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if isinstance(node, Filter):
-                node2, changed = _push_filter_once(node, catalog)
-                if changed:
-                    changed_any = True
-                    # the push may expose further pushes below: recurse
-                    return rewrite(node2)
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if not isinstance(node, Filter):
             return node
-
-        return rewrite(plan), changed_any
+        pushed = _push_filter_once(node, catalog)
+        if pushed is node:
+            return node
+        # the push may expose further pushes below: rewrite the new subtree
+        return self.apply(pushed, catalog)[0]
 
 
 def _is_pruned_scan(node: Project) -> bool:
@@ -135,7 +124,13 @@ class PruneColumns(Rule):
 
     A Filter directly on a Scan is pruned above the Filter: below it,
     ``FilterPushdown`` would swap the two, and the next sweep would
-    prune again. A converged plan reports no change."""
+    prune again. A converged plan comes back as the same object, with
+    no change reported.
+
+    Unlike the other rules, this one keeps its own top-down ``apply``
+    in place of a node-local ``rewrite``: the columns a node must
+    produce depend on its ancestors, so they are threaded down the
+    walk."""
 
     name = "prune_columns"
 
@@ -219,13 +214,15 @@ class PruneColumns(Rule):
         # the root's own output is fully required (required=None); pruning
         # starts propagating at the topmost Project/Predict node.
         new_plan = rewrite(plan, None)
-        return new_plan, changed
+        return (new_plan, True) if changed else (plan, False)
 
 
 def gather_constraints(node: PlanNode) -> dict:
     """Collect per-column constraints implied for every row *entering*
-    ``node``'s parent — i.e. from all filters in ``node``'s subtree,
-    stopping at renaming projections. Used by predicate-based pruning."""
+    ``node``'s parent — i.e. from the filters in ``node``'s subtree,
+    stopping at renaming projections and at the sides of a join that
+    ``_preserved_sides`` does not keep. Used by predicate-based
+    pruning."""
     from repro.ir import Constraint, column_constraints
 
     def merge(a: dict, b: dict) -> dict:
@@ -255,7 +252,13 @@ def gather_constraints(node: PlanNode) -> dict:
                 out[n] = inner[e.name]
         return out
     if isinstance(node, Join):
-        return merge(gather_constraints(node.left), gather_constraints(node.right))
+        # a filter under an outer join's NULL-padded side does not hold
+        # for the padded rows
+        out: dict = {}
+        for side, preserved in zip(node.children, _preserved_sides(node.how)):
+            if preserved:
+                out = merge(out, gather_constraints(side))
+        return out
     if isinstance(node, PREDICTS):
         return gather_constraints(node.child)
     if isinstance(node, UDFNode):

@@ -3,18 +3,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir import PlanNode
+from repro.ir import PlanNode, transform_bottom_up
 from repro.ir.plan import Catalog
 
 
 class Rule:
-    """A plan rewrite. ``apply`` returns (new plan, changed?). Rules
-    must be semantics-preserving on the query's output columns."""
+    """A plan rewrite that keeps the query's output columns' values.
+
+    A rule states one node-local rewrite: ``rewrite(node, catalog)``
+    gets a node whose children are already rewritten and returns its
+    replacement, or ``node`` itself for "no change". ``apply`` drives it
+    over the whole plan with ``ir.transform_bottom_up`` and returns
+    (new plan, changed?). Because that walk keeps a node's identity
+    when none of its children changed, the plan changed exactly when
+    the returned root is a different object."""
 
     name: str = "rule"
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
         raise NotImplementedError
+
+    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
+        out = transform_bottom_up(plan, lambda n: self.rewrite(n, catalog))
+        return out, out is not plan
 
     def reset(self) -> None:
         """Forget state kept across sweeps; ``CrossOptimizer`` calls it

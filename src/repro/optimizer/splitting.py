@@ -52,36 +52,22 @@ def split_predict(node: MLPredict) -> Union | None:
 
 
 class ModelQuerySplitting(Rule):
-    """Split every splittable tree MLPredict once (one root split per
-    optimizer sweep; repeated sweeps split deeper), at most
-    ``max_splits`` times per ``optimize()`` call."""
+    """Split the first splittable tree MLPredict at its root, once per
+    ``optimize()`` call."""
 
     name = "model_query_splitting"
 
-    def __init__(self, max_splits: int = 1):
-        self.max_splits = max_splits
+    def __init__(self):
         self.reset()
 
     def reset(self) -> None:
-        self._done = 0
+        self._split = False
 
-    def apply(self, plan: PlanNode, catalog: Catalog) -> tuple[PlanNode, bool]:
-        changed_any = False
-
-        def rewrite(node: PlanNode) -> PlanNode:
-            nonlocal changed_any
-            new_children = [rewrite(c) for c in node.children]
-            if new_children != node.children:
-                node = node.with_children(new_children)
-            if (
-                isinstance(node, MLPredict)
-                and self._done < self.max_splits
-            ):
-                split = split_predict(node)
-                if split is not None:
-                    self._done += 1
-                    changed_any = True
-                    return split
+    def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
+        if self._split or not isinstance(node, MLPredict):
             return node
-
-        return rewrite(plan), changed_any
+        split = split_predict(node)
+        if split is None:
+            return node
+        self._split = True
+        return split

@@ -30,7 +30,6 @@ from pyspark.sql.types import DoubleType
 
 def raven_ext(
     pdf: pd.DataFrame, model_path: str, featurizer, kind: str = "proba", classes=None,
-    python: str | None = None,
 ) -> np.ndarray:
     """Out-of-process external-script run: fresh interpreter, data via
     Parquet over the process boundary (the Fig. 3 "Raven Ext" bars)."""
@@ -45,7 +44,7 @@ def raven_ext(
                  "kind": kind, "classes": classes}, f
             )
         subprocess.run(
-            [python or sys.executable, "-m", "repro.runtime.ext_worker",
+            [sys.executable, "-m", "repro.runtime.ext_worker",
              task_path, in_path, out_path],
             check=True,
         )

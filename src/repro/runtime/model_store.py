@@ -4,8 +4,13 @@ A directory-backed catalog holding versioned model artifacts: pickled
 miniml pipelines (the MLflow-style "model pipeline" with its
 featurizer) and serialized onnxlite graphs. Deploying a new version is
 an atomic catalog update — the repro stand-in for the paper's
-transactional model updates — and executors cache loaded sessions per
-(path, mtime), so a new version is picked up without restart.
+transactional model updates.
+
+Raven's own PREDICT does not load from the store at run time: the
+model ships inside the task closure (``runtime.codegen``). Sessions
+loaded by path are cached per (path, mtime) only by
+``onnxlite.session.get_cached_session``, which T5's warm
+standalone-engine column uses; a re-saved model is a new cache entry.
 """
 from __future__ import annotations
 

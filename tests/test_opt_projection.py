@@ -25,9 +25,8 @@ from repro.miniml import (
 from repro.optimizer import CrossOptimizer
 from repro.optimizer.projection import (
     ModelProjectionPushdown,
-    shrink_forest,
     shrink_linear,
-    shrink_tree,
+    shrink_pipeline,
 )
 
 
@@ -79,7 +78,7 @@ class TestShrinkTree:
         ).fit(df[hospital.FEATURES], df["los"].to_numpy())
         used = {int(f) for f in pipe.model.feature if f != -1}
         assert len(used) < len(hospital.FEATURES)
-        new_pipe, changed = shrink_tree(pipe)
+        new_pipe, changed = shrink_pipeline(pipe)
         assert changed
         assert new_pipe.featurizer.n_features == len(used)
         np.testing.assert_array_equal(new_pipe.predict(df), pipe.predict(df))
@@ -90,7 +89,7 @@ class TestShrinkTree:
             TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
             DecisionTree(task="regression", max_depth=3, min_samples_leaf=20),
         ).fit(df[hospital.FEATURES], df["los"].to_numpy())
-        new_pipe, changed = shrink_tree(pipe)
+        new_pipe, changed = shrink_pipeline(pipe)
         assert changed
         assert set(new_pipe.input_cols) < set(pipe.input_cols)
 
@@ -102,7 +101,7 @@ class TestShrinkForest:
             TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
             RandomForest(n_trees=5, task="regression", max_depth=3, seed=1),
         ).fit(df[hospital.FEATURES], df["los"].to_numpy())
-        new_pipe, changed = shrink_forest(pipe)
+        new_pipe, changed = shrink_pipeline(pipe)
         if changed:
             np.testing.assert_allclose(new_pipe.predict(df), pipe.predict(df))
             assert new_pipe.featurizer.n_features < pipe.featurizer.n_features

@@ -189,6 +189,7 @@ class TestRuleOnPlan:
         out, changed = PredicateBasedModelPruning().apply(plan, catalog)
         out2, changed2 = PredicateBasedModelPruning().apply(out, catalog)
         assert not changed2
+        assert out2 is out
 
     def test_no_filter_no_change(self, los_tree):
         catalog = Catalog().add_table("joined", hospital.FEATURES + ["pid"], {"pid"})

@@ -23,7 +23,7 @@ from repro.ir import (
 )
 from repro.ir.plan import pretty
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
-from repro.optimizer import CrossOptimizer
+from repro.optimizer import CrossOptimizer, default_rules
 from repro.optimizer.relational import FilterPushdown, PruneColumns, gather_constraints
 from repro.oracle import _canon, assert_equivalent
 from repro.runtime.codegen import to_dataframe
@@ -268,6 +268,7 @@ class TestPruneColumns:
             again, changed = PruneColumns().apply(out, catalog)
             assert not changed, pretty(out)
             assert pretty(again) == pretty(out)
+            assert again is out
 
     def test_converges_with_filter_pushdown(self, catalog):
         """Pruning under a pushed filter must not re-open the push."""
@@ -323,6 +324,32 @@ class TestGatherConstraints:
         cons = gather_constraints(plan)
         assert cons["b"].eq == 1
         assert "a" not in cons
+
+    def test_left_join_padded_side_filter_does_not_prune(self, spark):
+        """A filter under a left join's right side does not hold for the
+        left rows the join pads with NULLs, so it must not specialise a
+        model above the join. Merging both sides' constraints pruned this
+        depth-3 tree from 15 to 7 nodes, and most rows then changed."""
+        rng = np.random.default_rng(0)
+        n = 2000
+        left = pd.DataFrame({"id": np.arange(n), "x": rng.normal(size=n)})
+        right = pd.DataFrame({"id": np.arange(n), "y": rng.normal(size=n)})
+        train = left.merge(right, on="id")
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["x", "y"], scale=False),
+            DecisionTree(task="regression", max_depth=3, min_samples_leaf=20),
+        ).fit(train[["x", "y"]], (train["x"] + 2 * train["y"]).to_numpy())
+        catalog = Catalog().add_table("l", ["id", "x"], {"id"}).add_table("r", ["id", "y"], {"id"})
+        join = Join(Scan("l"), Filter(Scan("r"), Cmp("<=", Col("y"), Lit(-0.5))),
+                    "id", "id", how="left")
+        plan = MLPredict(join, "m", pipe, "pred")
+        assert "y" not in gather_constraints(join)
+        out = CrossOptimizer(default_rules()).optimize(plan, catalog).plan
+        tables = {"l": spark.createDataFrame(left), "r": spark.createDataFrame(right)}
+        got = to_dataframe(out, spark, tables).toPandas()
+        expected = to_dataframe(plan, spark, tables).toPandas()
+        assert len(expected) == n
+        pd.testing.assert_frame_equal(_canon(got), _canon(expected), check_dtype=False)
 
     def test_udf_clears_constraints(self):
         plan = UDFNode(

@@ -230,7 +230,7 @@ class TestModelQuerySplitting:
     def test_rule_respects_max_splits(self, tree_pipe):
         catalog = Catalog().add_table("t", hospital.FEATURES, set())
         plan = MLPredict(Scan("t"), "m", tree_pipe, "pred")
-        rule = ModelQuerySplitting(max_splits=1)
+        rule = ModelQuerySplitting()
         out, changed = rule.apply(plan, catalog)
         assert changed
         out2, changed2 = rule.apply(out, catalog)
