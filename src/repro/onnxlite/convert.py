@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.miniml.featurize import TableFeaturizer
-from repro.miniml.forest import RandomForest
+from repro.miniml.forest import RandomForest, tree_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.mlp import MLPClassifier
 from repro.miniml.pipeline import Pipeline
@@ -133,18 +133,14 @@ def _traversal_graph(
     return g
 
 
-def tree_to_graph(tree: DecisionTree, input_name: str = "X") -> Graph:
-    """Compile a single tree (a forest of one): input (B,F) features →
-    output ``value`` (leaf probabilities / regression means)."""
-    return _traversal_graph([tree], [np.arange(tree.n_features)], None, input_name, "tree")
-
-
-def forest_to_graph(forest: RandomForest, input_name: str = "X") -> Graph:
-    """Compile a forest: one traversal over all trees, leaf values
-    averaged as ``RandomForest`` averages them."""
-    classes = forest.classes_ if forest.task == "classification" else None
-    return _traversal_graph(forest.trees, forest.feature_subsets, classes, input_name,
-                            "forest")
+def forest_to_graph(model: DecisionTree | RandomForest, input_name: str = "X") -> Graph:
+    """Compile a forest, or a tree as a forest of one: one traversal
+    over its ``tree_members``, leaf values averaged as ``RandomForest``
+    averages them. Input (B,F) features → output ``value`` (leaf
+    probabilities aligned to the model's classes, or regression means)."""
+    trees, subsets = zip(*tree_members(model))
+    classes = model.classes_ if model.task == "classification" else None
+    return _traversal_graph(list(trees), list(subsets), classes, input_name, "forest")
 
 
 def linear_to_graph(model, input_name: str = "X") -> Graph:
@@ -226,9 +222,7 @@ def pipeline_to_graph(pipe: Pipeline) -> Graph:
     Feed with ``TableFeaturizer.transform_codes`` outputs."""
     inputs, nodes, inits = featurizer_nodes(pipe.featurizer, "features")
     model = pipe.model
-    if isinstance(model, DecisionTree):
-        sub = tree_to_graph(model, "features")
-    elif isinstance(model, RandomForest):
+    if isinstance(model, (DecisionTree, RandomForest)):
         sub = forest_to_graph(model, "features")
     elif isinstance(model, (LogisticRegressionL1, LinearRegression)):
         sub = linear_to_graph(model, "features")

@@ -1,8 +1,16 @@
 """NN translation rule (§4.2): swap MLPredict (classical MLD operator)
 for NNPredict (an onnxlite LA graph). The graph runs batched tensor
 ops (one traversal over all trees of a forest, gathers and matmuls for
-linear models) — the executor can then choose the NN engine for this
-operator, as Raven's runtime selection does."""
+MLPs) — the executor can then choose the NN engine for this operator,
+as Raven's runtime selection does.
+
+Model inlining (ML→SQL) and NN translation are alternative physical
+forms of one predict, and ``inlining.predict_sql`` picks between them:
+the rule translates only a predict with no SQL form (forests, MLPs,
+trees with a one-hot split). A numeric-split tree or a linear or
+logistic model stays an ``MLPredict``, which codegen runs as a Catalyst
+expression with no Python task; as a graph it would pay a
+``mapInPandas`` wave (see ``predict_sql`` for the measurements)."""
 from __future__ import annotations
 
 from repro.ir import PlanNode
@@ -13,6 +21,7 @@ from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import DecisionTree
 from repro.onnxlite import optimize
 from repro.onnxlite.convert import pipeline_to_graph
+from repro.optimizer.inlining import predict_sql
 from repro.optimizer.rules import Rule
 
 
@@ -40,6 +49,8 @@ class NNTranslation(Rule):
 
     def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
         if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
+            return node
+        if predict_sql(node) is not None:
             return node
         try:
             return translate_predict(node)

@@ -3,13 +3,14 @@ Spark DataFrame.
 
 Relational nodes become DataFrame operations (so Catalyst sees and
 further optimizes them — the paper's generated SQL plays the same
-role). This module is also the one place that picks the physical form
-of each predict, by model type:
+role). Each predict runs in the physical form that
+``optimizer.inlining.predict_sql`` picks, by model type; it is the one
+decision point, and ``NNTranslation`` asks it too:
 
 * An ``MLPredict`` of a decision tree (numeric splits) or of a linear
-  or logistic model is inlined (§4.2, ``optimizer.inlining``): a select
-  of its SQL expression over the child. Catalyst compiles it into the
-  scan's stage; no Python task, no Arrow round trip.
+  or logistic model has an SQL form (§4.2): a select of its SQL
+  expression over the child. Catalyst compiles it into the scan's
+  stage; no Python task, no Arrow round trip.
 * Every other predict — forests, MLPs, ``NNPredict`` graphs,
   ``ClusteredPredict`` — becomes one ``mapInPandas`` whose batches are
   scored by the node's own ``predict_pandas``: the
@@ -18,14 +19,16 @@ of each predict, by model type:
   like SQL Server does for PREDICT in Fig. 3(iii).
 
 ``tools/inline_probe.py`` measured the choice (250K rows, ``local[4]``
-on a 4-vCPU Xeon, median of 5 runs, Python vs inlined): the Fig. 1
-depth-6 tree 0.78 → 0.29 s; trees of depth 8-12 0.65-0.69 → 0.51-0.57
-s; the flights LR with 204 one-hot weights 0.72 → 0.27 s as map
-lookups (3.58 s as a CASE term per weight). Hospital forests of 5-6
-depth-6 trees inline in 0.19-0.24 s, but from 7 trees (110 CASE nodes)
-up the inlined form takes 0.58-0.63 s, no better than Python's
-0.62-0.69 s, so forests stay in Python until a cost model can tell the
-two apart.
+on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined): the
+Fig. 1 depth-6 tree 0.84 / 0.91 / 0.30 s; the flights LR with 204
+one-hot weights 0.86 / 0.86 / 0.34 s as map lookups (4.34 s as a CASE
+term per weight). A graph pays the same Python wave as the pipeline it
+was translated from, so it never beats an SQL form. Trees of depth
+8-12 take 0.82-0.85 s in Python and 0.72-0.74 s inlined. Hospital
+forests of 5-6 depth-6 trees inline in 0.26-0.28 s, but from 7 trees
+(110 CASE nodes) up the inlined form takes 0.78-0.95 s, barely better
+than Python's 0.82-1.04 s, so forests stay in Python until a cost
+model can tell the two apart.
 
 Every Python task pays a fixed start-up, almost all of it in pyspark's
 per-task ``importlib.invalidate_caches()``. On ``local[4]`` (4-vCPU
@@ -50,9 +53,11 @@ from __future__ import annotations
 
 from functools import reduce
 
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, StructField, StructType
+from pyspark.sql.pandas.types import from_arrow_schema
+from pyspark.sql.types import DoubleType, NullType, StringType, StructField, StructType
 
 from repro.ir import (
     Filter,
@@ -63,9 +68,8 @@ from repro.ir import (
     UDFNode,
     Union,
 )
-from repro.ir.ops import PREDICTS, MLPredict
-from repro.miniml.pipeline import Pipeline
-from repro.optimizer.inlining import inline_pipeline_sql
+from repro.ir.ops import PREDICTS
+from repro.optimizer.inlining import predict_sql
 
 
 def _predict_map_fn(node, drop=()):
@@ -98,28 +102,37 @@ def map_in_pandas(node, child: DataFrame, keep: set[str] | None = None) -> DataF
     return child.mapInPandas(_predict_map_fn(node, drop), schema=schema)
 
 
-def _inline_sql(node) -> str | None:
-    """The SQL form of ``node``, or None when it is scored in Python:
-    an ``MLPredict`` of a tree (numeric splits only) or of a linear
-    model inlines; forests, MLPs, graphs and clustered models do not."""
-    if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
-        return None
-    try:
-        return inline_pipeline_sql(node.pipeline, node.kind)
-    except (TypeError, ValueError):
-        return None
-
-
 def _predict_dataframe(node, spark: SparkSession, tables: dict[str, DataFrame],
                        keep: set[str] | None = None) -> DataFrame:
-    """The in-process PREDICT, in the physical form ``_inline_sql``
+    """The in-process PREDICT, in the physical form ``predict_sql``
     picks. ``keep`` narrows a ``mapInPandas``'s output; Catalyst prunes
     an inlined one itself."""
     child = to_dataframe(node.child, spark, tables)
-    sql = _inline_sql(node)
+    sql = predict_sql(node)
     if sql is None:
         return map_in_pandas(node, child, keep)
     return child.select("*", F.expr(sql).alias(node.output_col))
+
+
+def _udf_schema(spark: SparkSession, child: DataFrame, fn) -> StructType:
+    """A black-box UDF's output schema, inferred from its output on up
+    to 5 of the child's rows. On an empty child there are no values to
+    infer from, so the schema comes from the output's pandas dtypes
+    (Arrow keeps the child's numeric dtypes on an empty ``toPandas``).
+    A column left untyped (``void``: empty, or NULL in every sampled
+    row) takes the child's type of the same name, else string; a
+    ``void`` column fails the first batch that holds a value."""
+    out = fn(child.limit(5).toPandas())
+    if len(out):
+        inferred = spark.createDataFrame(out).schema
+    else:
+        inferred = from_arrow_schema(pa.Schema.from_pandas(out, preserve_index=False))
+    types = {f.name: f.dataType for f in child.schema.fields}
+    return StructType([
+        StructField(f.name, types.get(f.name, StringType()))
+        if isinstance(f.dataType, NullType) else f
+        for f in inferred.fields
+    ])
 
 
 def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFrame]) -> DataFrame:
@@ -155,14 +168,10 @@ def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFram
         return _predict_dataframe(plan, spark, tables)
     if isinstance(plan, UDFNode):
         child = to_dataframe(plan.child, spark, tables)
-        # infer the UDF's output schema from a tiny sample (black-box fn)
-        sample = child.limit(5).toPandas()
-        out_sample = plan.fn(sample)
-        out_schema = spark.createDataFrame(out_sample).schema
 
         def fn(batches, _f=plan.fn):
             for pdf in batches:
                 yield _f(pdf)
 
-        return child.mapInPandas(fn, schema=out_schema)
+        return child.mapInPandas(fn, schema=_udf_schema(spark, child, plan.fn))
     raise TypeError(f"cannot codegen {type(plan).__name__}")

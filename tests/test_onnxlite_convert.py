@@ -19,7 +19,6 @@ from repro.onnxlite.convert import (
     linear_to_graph,
     mlp_to_graph,
     pipeline_to_graph,
-    tree_to_graph,
 )
 
 
@@ -36,7 +35,7 @@ class TestTreeToGEMM:
     def test_matches_tree_predict_value(self):
         X, y = _data()
         t = DecisionTree(max_depth=5, min_samples_leaf=2).fit(X, y)
-        g = tree_to_graph(t)
+        g = forest_to_graph(t)
         out = g.run({"X": X})["value"]
         np.testing.assert_allclose(out, t.predict_value(X))
 
@@ -45,14 +44,14 @@ class TestTreeToGEMM:
         X = rng.random((200, 3))
         yr = 5 * X[:, 0] + np.where(X[:, 1] > 0.5, 3.0, -3.0)
         t = DecisionTree(task="regression", max_depth=4, min_samples_leaf=4).fit(X, yr)
-        g = tree_to_graph(t)
+        g = forest_to_graph(t)
         np.testing.assert_allclose(g.run({"X": X})["value"][:, 0], t.predict(X))
 
     def test_single_leaf_tree(self):
         X = np.random.default_rng(0).random((20, 3))
         y = np.ones(20, dtype=int)
         t = DecisionTree().fit(X, y)
-        g = tree_to_graph(t)
+        g = forest_to_graph(t)
         out = g.run({"X": X})["value"]
         assert out.shape == (20, 1)
         np.testing.assert_allclose(out, 1.0)
@@ -60,7 +59,7 @@ class TestTreeToGEMM:
     def test_exactly_one_leaf_selected_per_row(self):
         X, y = _data(100)
         t = DecisionTree(max_depth=6, min_samples_leaf=1).fit(X, y)
-        g = tree_to_graph(t)
+        g = forest_to_graph(t)
         # run the unoptimized graph and grab the final node index per row
         env = dict(g.initializers)
         env["X"] = X
@@ -85,7 +84,7 @@ class TestTreeToGEMM:
         if len(np.unique(y)) < 2:
             return
         t = DecisionTree(max_depth=depth, min_samples_leaf=2).fit(X, y)
-        g = tree_to_graph(t)
+        g = forest_to_graph(t)
         Xq = rng.standard_normal((80, 4))
         np.testing.assert_allclose(g.run({"X": Xq})["value"], t.predict_value(Xq))
 

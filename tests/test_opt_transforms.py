@@ -27,6 +27,7 @@ from repro.miniml import (
 )
 from repro.optimizer import CrossOptimizer
 from repro.optimizer.clustering import compile_clustered, to_clustered_predict
+from repro.optimizer.inlining import predict_sql
 from repro.optimizer.nn_translate import NNTranslation, translate_predict
 from repro.optimizer.pruning import PredicateBasedModelPruning
 from repro.optimizer.splitting import ModelQuerySplitting, split_predict
@@ -83,7 +84,7 @@ class TestNNTranslation:
         y = (hosp["los"] > 7).astype(int).to_numpy()
         pipe = Pipeline(
             TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
-            DecisionTree(max_depth=3, min_samples_leaf=10),
+            RandomForest(n_trees=3, max_depth=3, seed=0),
         ).fit(hosp[hospital.FEATURES], y)
         catalog = Catalog().add_table("t", hospital.FEATURES, set())
         plan = MLPredict(Scan("t"), "m", pipe, "pred", kind="proba")
@@ -93,6 +94,48 @@ class TestNNTranslation:
         out2, changed2 = NNTranslation().apply(out, catalog)
         assert not changed2
 
+    def test_rule_leaves_sql_forms_alone(self, hosp, fl):
+        """A predict with an SQL form (``predict_sql``) stays an
+        ``MLPredict``: codegen runs it in Catalyst, not as a graph."""
+        y = (hosp["los"] > 7).astype(int).to_numpy()
+        tree = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
+            DecisionTree(max_depth=3, min_samples_leaf=10),
+        ).fit(hosp[hospital.FEATURES], y)
+        logistic = Pipeline(
+            TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
+            LogisticRegressionL1(alpha=1e-4, max_iter=100),
+        ).fit(fl, fl["delayed"].to_numpy())
+        catalog = Catalog().add_table("t", list(fl.columns) + hospital.FEATURES, set())
+        for pipe in (tree, logistic):
+            for kind in ("label", "proba"):
+                plan = MLPredict(Scan("t"), "m", pipe, "pred", kind=kind)
+                assert predict_sql(plan) is not None
+                out, changed = NNTranslation().apply(plan, catalog)
+                assert out is plan and not changed
+
+    def test_rule_translates_forms_without_sql(self, hosp):
+        """Forests, MLPs and trees with a one-hot split have no SQL form
+        and become graphs."""
+        rng = np.random.default_rng(0)
+        df = pd.DataFrame({"a": rng.random(400), "ward": rng.choice(["x", "y", "z"], 400)})
+        y = ((df["ward"] == "y") ^ (df["a"] > 0.5)).astype(int).to_numpy()
+        feat = TableFeaturizer(numeric_cols=["a"], categorical_cols=["ward"])
+        pipes = [
+            Pipeline(feat, RandomForest(n_trees=3, max_depth=3, seed=0)).fit(df, y),
+            Pipeline(feat, MLPClassifier(hidden=(4,), epochs=2, seed=0)).fit(df, y),
+            Pipeline(TableFeaturizer(categorical_cols=["ward"]),
+                     DecisionTree(max_depth=2)).fit(df, y),
+        ]
+        catalog = Catalog().add_table("t", ["a", "ward"], set())
+        for pipe in pipes:
+            plan = MLPredict(Scan("t"), "m", pipe, "pred", kind="proba")
+            assert predict_sql(plan) is None, type(pipe.model).__name__
+            out, changed = NNTranslation().apply(plan, catalog)
+            assert changed and isinstance(out, NNPredict)
+            np.testing.assert_allclose(out.predict_pandas(df), plan.predict_pandas(df),
+                                       atol=1e-12)
+
     def test_kmeans_model_not_translatable(self):
         from repro.miniml import KMeans
 
@@ -101,6 +144,54 @@ class TestNNTranslation:
         plan = MLPredict(Scan("t"), "m", pipe, "p")
         _, changed = NNTranslation().apply(plan, catalog)
         assert not changed
+
+
+class TestNNTranslationOnSpark:
+    """``Raven.run`` under ``default_rules() + [NNTranslation()]``, the
+    ``flights-graph`` optimizer: the flights LR runs as SQL, the forest
+    as one graph wave, and both equal ``pipeline_output`` row for row on
+    data with NULL numerics, NULL categories and unseen categories."""
+
+    @pytest.fixture(scope="class")
+    def raven(self, spark):
+        from repro.experiments.common import flights_lr_pipeline
+        from repro.optimizer import default_rules
+        from repro.raven import Raven
+
+        score = flights.frame(3000, seed=5)
+        score.loc[::7, "distance"] = np.nan
+        score.loc[::5, "dep_hour"] = np.nan
+        score.loc[::6, "origin"] = None
+        score.loc[1::11, "dest"] = "ZZZ"  # unseen in training
+        score.loc[2::13, "carrier"] = None
+        train = flights.frame(2000, seed=0)
+        forest = Pipeline(
+            TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
+            RandomForest(n_trees=4, max_depth=4, min_samples_leaf=20, seed=0),
+        ).fit(train, train["delayed"].to_numpy())
+        r = Raven(spark=spark,
+                  catalog=Catalog().add_table("flights", list(score.columns), {"flight_id"}),
+                  tables={"flights": spark.createDataFrame(score)},
+                  optimizer=CrossOptimizer(default_rules() + [NNTranslation()]))
+        pipes = {"delay_lr": flights_lr_pipeline(n_train=5_000, alpha=1e-5, seed=0),
+                 "delay_rf": forest}
+        for name, pipe in pipes.items():
+            r.register_model(name, pipe, kind="proba")
+        nulls = r.tables["flights"].where("distance IS NULL AND origin IS NULL").count()
+        assert nulls == len(score[::42])
+        return r, pipes, score
+
+    @pytest.mark.parametrize("model, waves", [("delay_lr", 0), ("delay_rf", 1)])
+    def test_form_and_rows(self, raven, model, waves):
+        r, pipes, score = raven
+        df = r.run(f"SELECT flight_id, PREDICT(MODEL {model}) AS p FROM flights")
+        physical = df._jdf.queryExecution().executedPlan().toString()
+        assert physical.count("MapInPandas") == waves
+        got = df.toPandas().sort_values("flight_id")
+        ref = pipeline_output(pipes[model], score, "proba")
+        assert np.array_equal(got["flight_id"], score["flight_id"])
+        np.testing.assert_allclose(got["p"].to_numpy(dtype=np.float64), ref,
+                                   rtol=0, atol=1e-12)
 
 
 class TestModelClustering:

@@ -155,6 +155,42 @@ class TestCodegen:
         out = df.select("pid", "age", "age2").toPandas()
         np.testing.assert_array_equal(out["age2"], out["age"] * 2)
 
+    def test_udf_codegen_on_empty_input(self, spark):
+        """Over a filter that matches no rows, a UDF
+        compiles to zero rows with its output columns, typed as on a
+        non-empty input (inference from an empty sample used to raise
+        ``CANNOT_INFER_EMPTY_SCHEMA``)."""
+        from repro.ir import UDFNode
+
+        fl = flights.frame(200, seed=3)
+        plan = UDFNode(
+            Filter(Scan("fl"), Cmp("<", Col("distance"), Lit(-1.0))),
+            fn=lambda pdf: pdf.assign(route=pdf["origin"] + "-" + pdf["dest"],
+                                      d2=pdf["distance"] * 2),
+            description="route",
+        )
+        tables = {"fl": spark.createDataFrame(fl)}
+        df = to_dataframe(plan, spark, tables)
+        assert df.columns == list(fl.columns) + ["route", "d2"]
+        assert df.count() == 0
+        full = to_dataframe(UDFNode(Scan("fl"), fn=plan.fn), spark, tables)
+        assert df.schema.simpleString() == full.schema.simpleString()
+
+    def test_udf_codegen_all_null_sample(self, spark):
+        """A string column that is NULL in every sampled row
+        keeps its type, and so does a UDF column copied from it (they
+        were typed ``void``, and the first batch holding a string failed
+        with ``Unsupported cast from string to null``)."""
+        from repro.ir import UDFNode
+
+        pdf = pd.DataFrame({"a": range(20), "s": [None] * 10 + ["x"] * 10})
+        tables = {"t": spark.createDataFrame(pdf).coalesce(1)}
+        plan = UDFNode(Scan("t"), fn=lambda p: p.assign(z=p["s"]), description="z")
+        df = to_dataframe(plan, spark, tables)
+        assert df.schema.simpleString() == "struct<a:bigint,s:string,z:string>"
+        out = df.toPandas().sort_values("a")
+        assert list(out["z"]) == [None] * 10 + ["x"] * 10
+
     def test_force_noop_sink(self, spark, hosp_small):
         df = spark.createDataFrame(hosp_small)
         force(df)  # must not raise

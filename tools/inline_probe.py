@@ -6,7 +6,11 @@ Spark runs on ``local[4]`` with a 2 GB driver, as ``perfbench`` does.
 Each input table is cached in 8 partitions. Every time is the median
 of ``--runs`` ``force`` runs after one warm-up. "python" is
 ``codegen.map_in_pandas``: one wave of Python tasks, the form codegen
-gives forests, MLPs and graphs. "inlined" is the model's SQL expression
+gives forests, MLPs and graphs. "graph" is the same wave scoring the
+model's onnxlite graph (``nn_translate.translate_predict``), the form
+``NNTranslation`` would give it; it is timed for the Fig. 1 depth-6
+tree and the flights LR, the two models that have both a graph and an
+SQL form in the benchmark. "inlined" is the model's SQL expression
 selected over the same cached table. The printed markdown table has
 one row per form:
 
@@ -32,6 +36,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARTITIONS = 8
+GRAPH_FORMS = ("tree depth 6", "flights LR, map")
 
 
 def parse_args(argv):
@@ -127,6 +132,7 @@ def probe(spark, forms, runs: int) -> list[dict]:
 
     from repro.ir import MLPredict, Scan
     from repro.ir.ops import pipeline_output
+    from repro.optimizer.nn_translate import translate_predict
     from repro.runtime.codegen import map_in_pandas
 
     rows = []
@@ -135,10 +141,13 @@ def probe(spark, forms, runs: int) -> list[dict]:
         inlined = sdf.select("_row", F.expr(sql).alias("p"))
         got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
         diff = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
+        graph_s = ""
+        if name in GRAPH_FORMS:
+            graph_s = median_s(map_in_pandas(translate_predict(node), sdf), runs)
         rows.append({
             "form": name, "CASE nodes": sql.count("CASE WHEN"),
             "maps": sql.count("element_at"),
-            "python_s": median_s(map_in_pandas(node, sdf), runs),
+            "python_s": median_s(map_in_pandas(node, sdf), runs), "graph_s": graph_s,
             "inlined_s": median_s(inlined, runs), "max_abs_diff": diff,
         })
         print(rows[-1], file=sys.stderr, flush=True)
@@ -182,7 +191,7 @@ def main(argv=None) -> None:
                       forest_sql(pipe.model, pipe.featurizer)))
     n_weights = int(sum(w != 0 for s, w in zip(lr.featurizer.feature_specs, lr.model.coef_)
                         if s[0] == "cat"))
-    print(f"## Inlined vs Python, {args.rows} rows, local[4], median of {args.runs} runs")
+    print(f"## Inlined vs graph vs Python, {args.rows} rows, local[4], median of {args.runs} runs")
     print(f"(flights LR: {n_weights} nonzero one-hot weights)\n")
     print(fmt_table(probe(spark, forms, args.runs)))
     spark.stop()
