@@ -156,6 +156,14 @@ class Constraint:
     hi_strict: bool = False
     eq: object | None = None
 
+    def meet(self, other: "Constraint") -> "Constraint":
+        """What ``self`` and ``other`` imply together: the tighter bound
+        on each side, strict winning a tie, and the first binding."""
+        lo, lo_strict = max((self.lo, self.lo_strict), (other.lo, other.lo_strict))
+        hi, hi_closed = min((self.hi, not self.hi_strict), (other.hi, not other.hi_strict))
+        return Constraint(lo=lo, lo_strict=lo_strict, hi=hi, hi_strict=not hi_closed,
+                          eq=self.eq if self.eq is not None else other.eq)
+
     def implies_le(self, t: float) -> bool:
         """Does the constraint guarantee ``col <= t``?"""
         if self.eq is not None and isinstance(self.eq, (int, float)) and not isinstance(self.eq, bool):
@@ -187,24 +195,15 @@ def column_constraints(e: Expr | None) -> dict[str, Constraint]:
             left, right, op = right, left, flip[op]
         if not (isinstance(left, Col) and isinstance(right, Lit)):
             continue
-        c = out.setdefault(left.name, Constraint())
         v = right.value
         numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
         if op == "=":
-            c.eq = v
-            if numeric:
-                c.lo = max(c.lo, float(v))
-                c.hi = min(c.hi, float(v))
-                c.lo_strict = c.hi_strict = False
-        elif numeric:
-            fv = float(v)
-            if op == "<" and fv <= c.hi:
-                c.hi, c.hi_strict = fv, True
-            elif op == "<=" and fv < c.hi:
-                c.hi, c.hi_strict = fv, False
-            elif op == ">" and fv >= c.lo:
-                c.lo, c.lo_strict = fv, True
-            elif op == ">=" and fv > c.lo:
-                c.lo, c.lo_strict = fv, False
-        # categorical != is ignored (no pruning value for our rules)
+            term_c = Constraint(lo=float(v), hi=float(v), eq=v) if numeric else Constraint(eq=v)
+        elif numeric and op in ("<", "<="):
+            term_c = Constraint(hi=float(v), hi_strict=op == "<")
+        elif numeric and op in (">", ">="):
+            term_c = Constraint(lo=float(v), lo_strict=op == ">")
+        else:
+            continue  # categorical != is ignored (no pruning value for our rules)
+        out[left.name] = out.get(left.name, Constraint()).meet(term_c)
     return out

@@ -126,6 +126,30 @@ class TableFeaturizer:
             col += len(enc.categories_)
         return out
 
+    def raw_split(self, feature_idx: int, t: float) -> tuple[str, float]:
+        """The split ``z <= t`` on numeric feature ``feature_idx`` as
+        ``col <= x`` over its raw column, exactly: ``x`` is the largest
+        double whose feature value, as ``transform`` computes it, is at
+        most ``t``. ``(x - mean) / scale`` rounds correctly, so it is
+        monotone in ``x`` and those doubles are a down-set; the search
+        steps from ``t·scale + mean``, which is off by a few ulps at
+        most. An unscaled feature returns ``t``. Raises ValueError for
+        a one-hot feature, which has no such form."""
+        spec = self.feature_specs[feature_idx]
+        if spec[0] != "num":
+            raise ValueError(f"no raw-column split on categorical feature {spec}")
+        col = spec[1]
+        if self.scaler is None:
+            return col, t
+        j = self.numeric_cols.index(col)
+        m, s = self.scaler.mean_[j], self.scaler.scale_[j]
+        x = t * s + m
+        while (x - m) / s > t:
+            x = np.nextafter(x, -np.inf)
+        while (np.nextafter(x, np.inf) - m) / s <= t:
+            x = np.nextafter(x, np.inf)
+        return col, float(x)
+
     def transform_codes(self, df: pd.DataFrame) -> dict[str, np.ndarray]:
         """Inputs for the NN-graph form of this featurizer: the *raw*
         numeric block (the graph owns scaling, see

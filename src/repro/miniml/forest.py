@@ -59,14 +59,8 @@ class RandomForest:
     def _mean_value(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         acc = None
-        for tree, cols in zip(self.trees, self.feature_subsets):
-            v = tree.predict_value(X[:, cols])
-            if self.task == "classification" and len(tree.classes_) != len(self._classes):
-                # a bootstrap sample may have missed a class: re-align columns
-                full = np.zeros((len(X), len(self._classes)))
-                idx = np.searchsorted(self._classes, tree.classes_)
-                full[:, idx] = v
-                v = full
+        for (tree, cols), values in zip(tree_members(self), member_values(self)):
+            v = values[tree.apply(X[:, cols])]
             acc = v if acc is None else acc + v
         return acc / self.n_trees
 
@@ -86,20 +80,16 @@ class RandomForest:
         classical-framework execution style; used as the interpreted
         baseline bracket in the NN-translation experiment."""
         X = np.asarray(X, dtype=np.float64)
+        members = list(zip(tree_members(self), member_values(self)))
         out = np.zeros((len(X), len(self._classes)))
         for r, x in enumerate(X):
             acc = np.zeros(len(self._classes))
-            for tree, cols in zip(self.trees, self.feature_subsets):
+            for (tree, cols), values in members:
                 xi = x[cols]
                 i = 0
                 while tree.feature[i] != -1:
                     i = tree.left[i] if xi[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-                v = tree.value[i]
-                if len(tree.classes_) != len(self._classes):
-                    full = np.zeros(len(self._classes))
-                    full[np.searchsorted(self._classes, tree.classes_)] = v
-                    v = full
-                acc += v
+                acc += values[i]
             out[r] = acc / self.n_trees
         return out
 
@@ -110,6 +100,23 @@ def tree_members(model: DecisionTree | RandomForest) -> list[tuple[DecisionTree,
     if isinstance(model, DecisionTree):
         return [(model, np.arange(model.n_features))]
     return list(zip(model.trees, model.feature_subsets))
+
+
+def member_values(model: DecisionTree | RandomForest) -> list[np.ndarray]:
+    """Each member tree's node-value table, one column per output of
+    ``model``: a member whose bootstrap sample missed a class gets a
+    zero column for it, in the place of that class among the model's
+    classes. Members keep their own classes; this aligns them where the
+    values are read."""
+    members = tree_members(model)
+    if model.task != "classification":
+        return [tree.value for tree, _ in members]
+    out = []
+    for tree, _ in members:
+        full = np.zeros((tree.n_nodes, len(model.classes_)))
+        full[:, np.searchsorted(model.classes_, tree.classes_)] = tree.value
+        out.append(full)
+    return out
 
 
 def with_members(model: DecisionTree | RandomForest, trees: list[DecisionTree],

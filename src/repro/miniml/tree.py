@@ -9,7 +9,8 @@ a batched tree traversal (onnxlite.convert). Convention: a row goes **left** whe
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -217,30 +218,33 @@ class DecisionTree:
     # ------------------------------------------------- structural utils
     def subtree(self, root: int) -> "DecisionTree":
         """Extract the subtree rooted at node ``root`` as a new tree."""
+        return self.rebuild(root, lambda i: None)
+
+    def rebuild(self, root: int, taken: Callable[[int], int | None]) -> "DecisionTree":
+        """Preorder copy of the subtree at ``root``. At a split ``i``
+        whose outcome is known, ``taken(i)`` returns the child every row
+        takes, and only that child is copied in its place; it returns
+        None where both children stay."""
         keep: list[int] = []
+        left: list[int] = []
+        right: list[int] = []
 
-        def collect(i: int) -> None:
+        def visit(i: int) -> int:
+            while self.feature[i] != LEAF and (j := taken(i)) is not None:
+                i = int(j)
+            nid = len(keep)
             keep.append(i)
+            left.append(LEAF)
+            right.append(LEAF)
             if self.feature[i] != LEAF:
-                collect(self.left[i])
-                collect(self.right[i])
+                left[nid] = visit(int(self.left[i]))
+                right[nid] = visit(int(self.right[i]))
+            return nid
 
-        collect(root)
-        remap = {old: new for new, old in enumerate(keep)}
-        t = DecisionTree(task=self.task, max_depth=self.max_depth)
-        t.n_features = self.n_features
-        t.n_outputs = self.n_outputs
-        t.feature = self.feature[keep].copy()
-        t.threshold = self.threshold[keep].copy()
-        t.left = np.array(
-            [remap[self.left[i]] if self.feature[i] != LEAF else LEAF for i in keep],
-            dtype=np.int64,
-        )
-        t.right = np.array(
-            [remap[self.right[i]] if self.feature[i] != LEAF else LEAF for i in keep],
-            dtype=np.int64,
-        )
-        t.value = self.value[keep].copy()
+        visit(root)
+        t = replace(self, feature=self.feature[keep], threshold=self.threshold[keep],
+                    left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
+                    value=self.value[keep])
         if self.task == "classification":
             t._classes = self._classes
         return t

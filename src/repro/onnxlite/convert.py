@@ -7,7 +7,8 @@ Trees and forests are compiled to Hummingbird's TreeTraversal strategy
 * all trees' nodes are stacked into one set of tables indexed by a
   global node id — the tested feature (mapped through the tree's column
   subset), the threshold, the left and right child (a leaf points to
-  itself) and the leaf values (aligned to the forest's classes);
+  itself) and the leaf values, aligned to the forest's classes by
+  ``miniml.forest.member_values``, as ``RandomForest`` reads them;
 * a (rows, trees) tensor of node ids starts at the roots and takes one
   step per level: ``Gather`` the tables at the current nodes,
   ``GatherElements`` the tested features from the input, ``LessOrEqual``
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.miniml.featurize import TableFeaturizer
-from repro.miniml.forest import RandomForest, tree_members
+from repro.miniml.forest import RandomForest, member_values, tree_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.mlp import MLPClassifier
 from repro.miniml.pipeline import Pipeline
@@ -34,32 +35,18 @@ from repro.miniml.tree import LEAF, DecisionTree
 from repro.onnxlite.graph import Graph, Node
 
 
-def _aligned_values(tree: DecisionTree, classes: np.ndarray | None) -> np.ndarray:
-    """Node-value matrix aligned to ``classes`` (forest members trained
-    on a bootstrap may have seen fewer classes)."""
-    if classes is None or tree.task != "classification":
-        return tree.value
-    if len(tree.classes_) == len(classes):
-        return tree.value
-    full = np.zeros((tree.n_nodes, len(classes)))
-    full[:, np.searchsorted(classes, tree.classes_)] = tree.value
-    return full
-
-
-def _node_tables(
-    trees: list[DecisionTree],
-    feature_subsets: list[np.ndarray],
-    classes: np.ndarray | None,
-) -> tuple[dict[str, np.ndarray], int]:
-    """Stack every tree's nodes into one set of tables, indexed by a
-    global node id, and return them with the forest's maximum depth.
+def _node_tables(model: DecisionTree | RandomForest) -> tuple[dict[str, np.ndarray], int]:
+    """Stack every member tree's nodes into one set of tables, indexed
+    by a global node id, and return them with the forest's maximum
+    depth.
 
     Feature ids are mapped through each tree's column subset; a leaf
     tests feature 0 and points to itself on both sides, so extra levels
     leave a row that reached it in place."""
+    trees, subsets = zip(*tree_members(model))
     offsets = np.cumsum([0] + [t.n_nodes for t in trees])
     feature, left, right = [], [], []
-    for tree, cols, off in zip(trees, feature_subsets, offsets):
+    for tree, cols, off in zip(trees, subsets, offsets):
         ids = np.arange(tree.n_nodes, dtype=np.int64) + off
         leaf = tree.feature == LEAF
         cols = np.asarray(cols, dtype=np.int64)
@@ -71,7 +58,7 @@ def _node_tables(
         "threshold": np.concatenate([t.threshold for t in trees]),
         "left": np.concatenate(left),
         "right": np.concatenate(right),
-        "value": np.concatenate([_aligned_values(t, classes) for t in trees]),
+        "value": np.concatenate(member_values(model)),
         "roots": offsets[:-1],
     }
     # maximum depth, one level of the whole forest at a time
@@ -86,22 +73,19 @@ def _node_tables(
     return tables, depth
 
 
-def _traversal_graph(
-    trees: list[DecisionTree],
-    feature_subsets: list[np.ndarray],
-    classes: np.ndarray | None,
-    input_name: str,
-    name: str,
-) -> Graph:
-    """Batched TreeTraversal over the stacked node tables: the node
-    index tensor is (rows, trees); each level gathers the nodes' feature
-    ids, thresholds and children, fetches the tested features from the
-    input, and steps every row left or right at once. Output ``value``
-    is the per-tree leaf values summed in tree order, divided by the
-    number of trees."""
-    tables, depth = _node_tables(trees, feature_subsets, classes)
+def forest_to_graph(model: DecisionTree | RandomForest, input_name: str = "X") -> Graph:
+    """Compile a forest, or a tree as a forest of one, to a batched
+    TreeTraversal over the stacked node tables of its ``tree_members``.
+    The node index tensor is (rows, trees); each level gathers the
+    nodes' feature ids, thresholds and children, fetches the tested
+    features from the input, and steps every row left or right at once.
+    Input (B,F) features → output ``value``: the per-tree leaf values
+    (aligned to the model's classes, or regression means) summed in tree
+    order and divided by the number of trees, as ``RandomForest``
+    averages them."""
+    tables, depth = _node_tables(model)
     inits = {f"trav_{k}": v for k, v in tables.items()}
-    inits["ntrees"] = np.float64(len(trees))
+    inits["ntrees"] = np.float64(len(tables["roots"]))
     nodes: list[Node] = []
     idx = "trav_roots"
     # at least one level, so that a forest of single leaves still
@@ -128,19 +112,9 @@ def _traversal_graph(
         Node("Div", ["value_sum", "ntrees"], "value"),
     ]
     g = Graph(inputs=[input_name], outputs=["value"], nodes=nodes, initializers=inits,
-              name=name)
+              name="forest")
     g.validate()
     return g
-
-
-def forest_to_graph(model: DecisionTree | RandomForest, input_name: str = "X") -> Graph:
-    """Compile a forest, or a tree as a forest of one: one traversal
-    over its ``tree_members``, leaf values averaged as ``RandomForest``
-    averages them. Input (B,F) features → output ``value`` (leaf
-    probabilities aligned to the model's classes, or regression means)."""
-    trees, subsets = zip(*tree_members(model))
-    classes = model.classes_ if model.task == "classification" else None
-    return _traversal_graph(list(trees), list(subsets), classes, input_name, "forest")
 
 
 def linear_to_graph(model, input_name: str = "X") -> Graph:

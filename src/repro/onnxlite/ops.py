@@ -5,7 +5,9 @@ dict) -> np.ndarray`` registered in ``KERNELS`` by op_type. The set
 mirrors the slice of ONNX needed by the paper's translated models:
 tree traversal (Gather/GatherElements/LessOrEqual/Where/ReduceSum),
 linear models (MatMul/Add/Sigmoid), MLPs (Gemm/Relu), featurizers
-(OneHot/Concat/Sub/Div) and output shaping (ArgMax/ReduceMean/Reshape).
+(OneHot/Concat/Sub/Div) and output shaping (Reshape/Transpose/Identity):
+exactly the ops that ``onnxlite.convert`` and ``onnxlite.optimizer``
+emit.
 """
 from __future__ import annotations
 
@@ -47,19 +49,9 @@ def _sub(ins, attrs):
     return ins[0] - ins[1]
 
 
-@register("Mul")
-def _mul(ins, attrs):
-    return ins[0] * ins[1]
-
-
 @register("Div")
 def _div(ins, attrs):
     return ins[0] / ins[1]
-
-
-@register("Neg")
-def _neg(ins, attrs):
-    return -ins[0]
 
 
 @register("Relu")
@@ -78,42 +70,14 @@ def _sigmoid(ins, attrs):
     return out
 
 
-@register("Softmax")
-def _softmax(ins, attrs):
-    z = ins[0]
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-@register("Less")
-def _less(ins, attrs):
-    return ins[0] < ins[1]
-
-
 @register("LessOrEqual")
 def _lesseq(ins, attrs):
     return ins[0] <= ins[1]
 
 
-@register("Greater")
-def _greater(ins, attrs):
-    return ins[0] > ins[1]
-
-
-@register("Equal")
-def _equal(ins, attrs):
-    return ins[0] == ins[1]
-
-
 @register("Where")
 def _where(ins, attrs):
     return np.where(ins[0], ins[1], ins[2])
-
-
-@register("Cast")
-def _cast(ins, attrs):
-    return ins[0].astype(np.dtype(attrs["to"]))
 
 
 @register("Concat")
@@ -161,16 +125,6 @@ def _onehot(ins, attrs):
 @register("ReduceSum")
 def _reducesum(ins, attrs):
     return ins[0].sum(axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-
-
-@register("ReduceMean")
-def _reducemean(ins, attrs):
-    return ins[0].mean(axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-
-
-@register("ArgMax")
-def _argmax(ins, attrs):
-    return np.argmax(ins[0], axis=attrs.get("axis", -1))
 
 
 @register("Identity")

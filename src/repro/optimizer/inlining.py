@@ -4,10 +4,12 @@ optimizer sees through them, whole-stage codegen compiles them).
 ``predict_sql`` is the one place that decides which predicts run in
 this form; codegen and the NN translation rule both ask it.
 
-* Decision trees become nested ``CASE WHEN col <= t THEN ... END``.
-  Thresholds over standardized features are *inverted through the
-  scaler* (x ≤ t·s + m), so the generated SQL reads raw columns. A NULL
-  fails every ``<=`` and takes the ELSE (right) branch, as NaN does in
+* Decision trees become nested ``CASE WHEN col <= x THEN ... END``.
+  ``TableFeaturizer.raw_split`` maps each split over a standardized
+  feature to its exact preimage on the raw column, the largest ``x``
+  whose scaled value is at most the threshold, so the generated SQL
+  reads raw columns and routes every row as miniml does. A NULL fails
+  every ``<=`` and takes the ELSE (right) branch, as NaN does in
   ``DecisionTree.apply``.
 * Linear/logistic models become an arithmetic expression. Each one-hot
   block becomes one map lookup, ``coalesce(element_at(map_from_arrays(
@@ -49,20 +51,6 @@ def _key(v) -> str:
     return _fmt(v)
 
 
-def _raw_threshold(feat, feature_idx: int, t: float) -> tuple[str, float]:
-    """Map a feature-space split (feature_idx, t) back to (column,
-    raw threshold): x ≤ t·scale + mean. Only numeric features can be
-    inlined this way."""
-    spec = feat.feature_specs[feature_idx]
-    if spec[0] != "num":
-        raise ValueError(f"cannot inline split on categorical feature {spec}")
-    col = spec[1]
-    if feat.scaler is not None:
-        j = feat.numeric_cols.index(col)
-        t = t * feat.scaler.scale_[j] + feat.scaler.mean_[j]
-    return col, t
-
-
 def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
     """Nested CASE WHEN expression computing the tree's prediction."""
     if kind not in ("label", "proba"):
@@ -79,7 +67,7 @@ def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
     def rec(i: int) -> str:
         if tree.feature[i] == LEAF:
             return leaf_sql(i)
-        col, t = _raw_threshold(feat, int(tree.feature[i]), float(tree.threshold[i]))
+        col, t = feat.raw_split(int(tree.feature[i]), float(tree.threshold[i]))
         return (
             f"CASE WHEN {col} <= {_fmt(t)} THEN {rec(int(tree.left[i]))} "
             f"ELSE {rec(int(tree.right[i]))} END"

@@ -25,7 +25,7 @@ from repro.ir.plan import Catalog
 from repro.miniml.forest import RandomForest, tree_members, with_members
 from repro.miniml.linear import LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
-from repro.miniml.tree import LEAF, DecisionTree
+from repro.miniml.tree import DecisionTree
 from repro.optimizer.relational import gather_constraints
 from repro.optimizer.rules import Rule
 
@@ -33,42 +33,16 @@ from repro.optimizer.rules import Rule
 def prune_tree(tree: DecisionTree, constraints: dict[int, Constraint]) -> DecisionTree:
     """Rebuild ``tree`` dropping branches unreachable under per-feature
     ``constraints`` (keyed by feature index)."""
-    nodes: list[dict] = []
 
-    def build(i: int) -> int:
-        f = int(tree.feature[i])
-        if f != LEAF:
-            c = constraints.get(f)
-            t = float(tree.threshold[i])
-            if c is not None:
-                if c.implies_le(t):
-                    return build(int(tree.left[i]))
-                if c.implies_gt(t):
-                    return build(int(tree.right[i]))
-        nid = len(nodes)
-        nodes.append(
-            {"feature": f, "threshold": float(tree.threshold[i]),
-             "left": LEAF, "right": LEAF, "value": tree.value[i]}
-        )
-        if f != LEAF:
-            nodes[nid]["left"] = build(int(tree.left[i]))
-            nodes[nid]["right"] = build(int(tree.right[i]))
-        return nid
+    def taken(i: int) -> int | None:
+        c = constraints.get(int(tree.feature[i]))
+        if c is not None and c.implies_le(float(tree.threshold[i])):
+            return tree.left[i]
+        if c is not None and c.implies_gt(float(tree.threshold[i])):
+            return tree.right[i]
+        return None
 
-    # build() appends parent before children, so 0 stays the root
-    build(0)
-    out = DecisionTree(task=tree.task, max_depth=tree.max_depth,
-                       min_samples_leaf=tree.min_samples_leaf)
-    out.n_features = tree.n_features
-    out.n_outputs = tree.n_outputs
-    out.feature = np.array([n["feature"] for n in nodes], dtype=np.int64)
-    out.threshold = np.array([n["threshold"] for n in nodes])
-    out.left = np.array([n["left"] for n in nodes], dtype=np.int64)
-    out.right = np.array([n["right"] for n in nodes], dtype=np.int64)
-    out.value = np.stack([n["value"] for n in nodes])
-    if tree.task == "classification":
-        out._classes = tree.classes_
-    return out
+    return tree.rebuild(0, taken)
 
 
 def _feature_constraints(pipe: Pipeline, col_constraints: dict) -> dict[int, Constraint]:

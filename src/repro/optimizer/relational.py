@@ -23,6 +23,7 @@ from repro.ir import (
     UDFNode,
     Union,
     and_all,
+    column_constraints,
     conjuncts,
 )
 from repro.ir.ops import PREDICTS
@@ -117,10 +118,18 @@ def _is_pruned_scan(node: Project) -> bool:
     return isinstance(child, Scan)
 
 
+def _whole_table(node: PlanNode) -> bool:
+    """Every row of a stored table: a Scan under Projects only. A 1:1
+    join to anything less drops the rows it does not match."""
+    while isinstance(node, Project):
+        node = node.child
+    return isinstance(node, Scan)
+
+
 class PruneColumns(Rule):
     """Top-down required-column analysis: trims projections, inserts
     pruned Projects over Scans, and eliminates 1:1 joins whose right
-    side contributes nothing but its key.
+    side is a whole table that contributes nothing but its key.
 
     A Filter directly on a Scan is pruned above the Filter: below it,
     ``FilterPushdown`` would swap the two, and the next sweep would
@@ -186,13 +195,23 @@ class PruneColumns(Rule):
                 # unknown column use: everything below stays required
                 return node.with_children([rewrite(node.child, None)])
             if isinstance(node, Union):
-                return Union([rewrite(c, required) for c in node.children])
+                branches = [rewrite(c, required) for c in node.children]
+                if required is not None:
+                    # a predict passes through every column of its input,
+                    # which pruning trims per branch: project each branch
+                    # to the same columns, so the UNION lines up
+                    cols = [c for c in output_columns(branches[0], catalog) if c in required]
+                    for i, b in enumerate(branches):
+                        if output_columns(b, catalog) != cols:
+                            branches[i] = Project(b, [(c, Col(c)) for c in cols])
+                            changed = True
+                return Union(branches)
             if isinstance(node, Join):
                 left_cols = set(output_columns(node.left, catalog))
                 right_cols = set(output_columns(node.right, catalog))
                 if required is not None:
                     right_used = (required & right_cols) - {node.right_on, node.left_on}
-                    if node.fk_one_to_one and not right_used:
+                    if node.fk_one_to_one and not right_used and _whole_table(node.right):
                         changed = True
                         return rewrite(node.left, required)
                     lr = (required & left_cols) | {node.left_on}
@@ -223,23 +242,11 @@ def gather_constraints(node: PlanNode) -> dict:
     stopping at renaming projections and at the sides of a join that
     ``_preserved_sides`` does not keep. Used by predicate-based
     pruning."""
-    from repro.ir import Constraint, column_constraints
 
     def merge(a: dict, b: dict) -> dict:
         out = dict(a)
         for col, c in b.items():
-            if col not in out:
-                out[col] = c
-                continue
-            m: Constraint = out[col]
-            merged = Constraint(
-                lo=max(m.lo, c.lo),
-                lo_strict=m.lo_strict if m.lo >= c.lo else c.lo_strict,
-                hi=min(m.hi, c.hi),
-                hi_strict=m.hi_strict if m.hi <= c.hi else c.hi_strict,
-                eq=m.eq if m.eq is not None else c.eq,
-            )
-            out[col] = merged
+            out[col] = out[col].meet(c) if col in out else c
         return out
 
     if isinstance(node, Filter):

@@ -4,8 +4,9 @@ that can then be optimized independently (the paper notes the left
 branch of the running example becomes cheap enough to inline, and its
 join with prenatal_tests can be dropped).
 
-The split predicate is expressed over the *raw* column (thresholds
-inverted through the scaler), so each branch's Filter is a plain
+The split predicate is expressed over the *raw* column, with the
+exact threshold preimage that inlining uses
+(``TableFeaturizer.raw_split``), so each branch's Filter is a plain
 relational predicate — which predicate-based pruning then consumes to
 specialize each branch's model further. A NULL in the split column
 goes right, as NaN does in ``DecisionTree.apply``: the right branch is
@@ -20,7 +21,6 @@ from repro.ir.ops import MLPredict
 from repro.ir.plan import Catalog
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
-from repro.optimizer.inlining import _raw_threshold
 from repro.optimizer.rules import Rule
 
 
@@ -34,7 +34,7 @@ def split_predict(node: MLPredict) -> Union | None:
     if tree.feature[0] == LEAF:
         return None
     try:
-        col, t = _raw_threshold(pipe.featurizer, int(tree.feature[0]), float(tree.threshold[0]))
+        col, t = pipe.featurizer.raw_split(int(tree.feature[0]), float(tree.threshold[0]))
     except ValueError:
         return None
 

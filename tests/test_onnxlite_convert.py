@@ -276,6 +276,29 @@ class TestPipelineToGraph:
         feeds = pipe.featurizer.transform_codes(flights.frame(500, seed=7))
         np.testing.assert_allclose(rewritten.run(feeds)["proba"], g.run(feeds)["proba"])
 
+    def test_emitted_ops_are_the_kernels(self):
+        """onnxlite has a kernel for exactly the ops that the converters
+        and the graph passes emit: a tree, a forest, a linear model, an
+        MLP, scaled + one-hot pipelines of the last three, and a
+        numeric-only pipeline."""
+        from repro.onnxlite.ops import KERNELS
+
+        X, y = _data()
+        graphs = [
+            forest_to_graph(DecisionTree(max_depth=3).fit(X, y)),
+            forest_to_graph(RandomForest(n_trees=3, max_depth=3).fit(X, y)),
+            linear_to_graph(LogisticRegressionL1(alpha=0.01).fit(X, y)),
+            mlp_to_graph(MLPClassifier(hidden=(4,), epochs=1).fit(X, y)),
+        ]
+        for model in (RandomForest(n_trees=3, max_depth=3), LogisticRegressionL1(alpha=0.001),
+                      MLPClassifier(hidden=(4,), epochs=1)):
+            graphs.append(pipeline_to_graph(self._pipe(model)[0]))
+        df = _mixed_df()
+        numeric = Pipeline(TableFeaturizer(numeric_cols=["age", "bp"]), DecisionTree(max_depth=3))
+        graphs.append(pipeline_to_graph(numeric.fit(df, (df["age"] > 50).to_numpy(int))))
+        emitted = {n.op_type for g in graphs for h in (g, optimize(g)) for n in h.nodes}
+        assert emitted == set(KERNELS)
+
     def test_unsupported_model_raises(self):
         import pytest
 

@@ -15,14 +15,14 @@ class TestKernels:
             ("MatMul", [np.eye(2), np.array([[1.0, 2], [3, 4]])], {}, [[1, 2], [3, 4]]),
             ("Add", [np.array([1.0]), np.array([2.0])], {}, [3.0]),
             ("Sub", [np.array([5.0]), np.array([2.0])], {}, [3.0]),
-            ("Mul", [np.array([3.0]), np.array([4.0])], {}, [12.0]),
+            ("LessOrEqual", [np.array([np.nan, 1.0]), np.array([0.0, 1.0])], {}, [False, True]),
             ("Div", [np.array([8.0]), np.array([2.0])], {}, [4.0]),
-            ("Neg", [np.array([2.0])], {}, [-2.0]),
+            ("Div", [np.array([[2.0, 4.0]]), np.float64(2.0)], {}, [[1.0, 2.0]]),
             ("Relu", [np.array([-1.0, 2.0])], {}, [0.0, 2.0]),
-            ("Less", [np.array([1.0, 3.0]), np.array([2.0, 2.0])], {}, [True, False]),
+            ("Reshape", [np.array([[1.0], [2.0]])], {"shape": [-1]}, [1.0, 2.0]),
             ("LessOrEqual", [np.array([2.0]), np.array([2.0])], {}, [True]),
-            ("Greater", [np.array([3.0]), np.array([2.0])], {}, [True]),
-            ("Equal", [np.array([2.0, 1.0]), np.array([2.0, 2.0])], {}, [True, False]),
+            ("Gather", [np.eye(2), np.array([[1, 0]])], {}, [[[0.0, 1.0], [1.0, 0.0]]]),
+            ("ReduceSum", [np.ones((3, 1, 2))], {"axis": 0}, [[3.0, 3.0]]),
             ("Identity", [np.array([7.0])], {}, [7.0]),
         ],
     )
@@ -39,21 +39,11 @@ class TestKernels:
         out = KERNELS["Sigmoid"]([np.array([-1e4, 0.0, 1e4])], {})
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
 
-    def test_softmax_rows(self):
-        out = KERNELS["Softmax"]([np.array([[1.0, 1.0], [1000.0, 0.0]])], {})
-        np.testing.assert_allclose(out.sum(axis=1), 1.0)
-        np.testing.assert_allclose(out[0], [0.5, 0.5])
-
     def test_where(self):
         out = KERNELS["Where"](
             [np.array([True, False]), np.array([1.0, 1.0]), np.array([2.0, 2.0])], {}
         )
         np.testing.assert_allclose(out, [1.0, 2.0])
-
-    def test_cast(self):
-        out = KERNELS["Cast"]([np.array([True, False])], {"to": "float64"})
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_concat_axis1(self):
         a = np.ones((2, 1))
@@ -89,11 +79,9 @@ class TestKernels:
     def test_reduce_sum_mean(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(KERNELS["ReduceSum"]([X], {"axis": 0}), [4.0, 6.0])
-        np.testing.assert_allclose(KERNELS["ReduceMean"]([X], {"axis": 1}), [1.5, 3.5])
-
-    def test_argmax(self):
-        out = KERNELS["ArgMax"]([np.array([[0.1, 0.9], [0.8, 0.2]])], {"axis": 1})
-        np.testing.assert_array_equal(out, [1, 0])
+        # a mean, as the traversal graph takes it over trees: ReduceSum, then Div
+        total = KERNELS["ReduceSum"]([X], {"axis": 1})
+        np.testing.assert_allclose(KERNELS["Div"]([total, np.float64(2.0)], {}), [1.5, 3.5])
 
 
 def _affine_graph() -> Graph:
@@ -181,7 +169,7 @@ class TestOptimizer:
             outputs=["y"],
             nodes=[
                 Node("Add", ["a", "a"], "b"),
-                Node("Mul", ["b", "b"], "c"),
+                Node("Add", ["b", "b"], "c"),
                 Node("Add", ["X", "c"], "y"),
             ],
             initializers={"a": np.array([1.0])},
@@ -196,7 +184,7 @@ class TestOptimizer:
             outputs=["y"],
             nodes=[
                 Node("Relu", ["X"], "y"),
-                Node("Neg", ["unused_in"], "dead"),
+                Node("Relu", ["unused_in"], "dead"),
             ],
             initializers={"never": np.array([0.0])},
         )

@@ -6,7 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.datasets import hospital
+from repro.datasets import flights, hospital
 from repro.ir import MLPredict, Scan
 from repro.ir.ops import pipeline_output
 from repro.miniml import (
@@ -23,6 +23,7 @@ from repro.optimizer.inlining import (
     linear_to_sql,
     tree_to_sql,
 )
+from repro.optimizer.splitting import split_predict
 from repro.runtime.codegen import map_in_pandas, to_dataframe
 
 
@@ -90,6 +91,37 @@ class TestTreeToSql:
         ).fit(hosp[hospital.FEATURES], hosp["los"].to_numpy())
         sql = tree_to_sql(pipe.model, pipe.featurizer, kind="label")
         np.testing.assert_allclose(_duck_eval(sql, hosp), pipe.predict(hosp))
+
+    def test_scaled_thresholds_map_exactly(self, spark):
+        """A split ``z <= t`` over a standardized feature reads its raw
+        column as ``x <= x*``, ``x*`` the largest double whose scaled
+        value is at most ``t``. ``t·scale + mean`` is off by an ulp for
+        some splits, and sends rows on that boundary the other way. Both
+        the inlined tree (in DuckDB) and model/query splitting's branch
+        filters (on Spark, which runs them) must route as miniml does."""
+        train = flights.frame(20_000, seed=0)
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=flights.NUMERIC),
+            DecisionTree(max_depth=8),
+        ).fit(train[flights.NUMERIC], train["delayed"].to_numpy())
+        data = flights.frame(250_000, seed=7)
+        for kind in ("label", "proba"):
+            sql = tree_to_sql(pipe.model, pipe.featurizer, kind=kind)
+            np.testing.assert_array_equal(_duck_eval(sql, data),
+                                          pipeline_output(pipe, data, kind))
+
+        left, right = split_predict(MLPredict(Scan("t"), "m", pipe, "p")).children
+        branches = (
+            spark.createDataFrame(data)
+            .selectExpr("flight_id", f"{left.child.predicate.to_sql()} AS l",
+                        f"{right.child.predicate.to_sql()} AS r")
+            .orderBy("flight_id").toPandas()
+        )
+        in_left, in_right = branches["l"].to_numpy(bool), branches["r"].to_numpy(bool)
+        np.testing.assert_array_equal(in_left ^ in_right, True)
+        tree = pipe.model
+        root_left = pipe.featurizer.transform(data)[:, tree.feature[0]] <= tree.threshold[0]
+        np.testing.assert_array_equal(in_left, root_left)
 
     def test_categorical_split_raises(self, hosp):
         df = hosp.assign(city=np.where(hosp["age"] > 50, "NYC", "SEA"))

@@ -18,6 +18,7 @@ from repro.ir import (
     Project,
     Scan,
     UDFNode,
+    column_constraints,
     output_columns,
     walk,
 )
@@ -207,6 +208,14 @@ class TestPruneColumns:
         scans = {n.table for n in walk(out) if isinstance(n, Scan)}
         assert "prenatal_tests" in scans
 
+    def test_join_kept_when_right_side_filtered(self, catalog):
+        """A 1:1 join drops the left rows whose match a filter on the
+        right removed, so it stays even when no right column is read."""
+        right = Filter(Scan("blood_tests"), Cmp(">", Col("bp"), Lit(120)))
+        j = Join(Scan("patient_info"), right, "pid", "pid", fk_one_to_one=True)
+        out, _ = PruneColumns().apply(Project(j, [("age", Col("age"))]), catalog)
+        assert any(isinstance(n, Join) for n in walk(out))
+
     def test_join_not_eliminated_without_fk(self, catalog):
         j = Join(Scan("patient_info"), Scan("blood_tests"), "pid", "pid", fk_one_to_one=False)
         plan = Project(j, [("age", Col("age"))])
@@ -315,6 +324,15 @@ class TestGatherConstraints:
             Cmp(">", Col("x"), Lit(10)),
         )
         assert gather_constraints(plan)["x"].implies_gt(10)
+
+    def test_equal_bounds_keep_strictness_in_either_order(self):
+        """Stacked filters meet as one conjunction does: on equal bounds
+        the strict one wins, whichever filter is on top."""
+        for strict, closed in ((Cmp(">", Col("x"), Lit(5)), Cmp(">=", Col("x"), Lit(5))),
+                               (Cmp("<", Col("x"), Lit(5)), Cmp("<=", Col("x"), Lit(5)))):
+            for top, below in ((strict, closed), (closed, strict)):
+                c = gather_constraints(Filter(Filter(Scan("t"), below), top))["x"]
+                assert c == column_constraints(strict)["x"]
 
     def test_project_rename_tracks(self):
         plan = Project(
