@@ -1,4 +1,6 @@
 """Unit tests for featurizers and the Pipeline wrapper."""
+import signal
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -138,6 +140,36 @@ class TestTableFeaturizer:
         f = TableFeaturizer(categorical_cols=["city"]).fit(_df())
         with pytest.raises(KeyError):
             f.bind_categorical("nope", "x")
+
+    @pytest.mark.parametrize(
+        "values, below, above",
+        [
+            # Raw threshold 0 with mean 0.3: (x - 0.3) / s is flat over
+            # every |x| < ulp(0.3) / 2, subnormals included.
+            ([-1.0] * 35 + [1.0] * 65, -1.0, 1.0),
+            # Raw threshold ~1e-6 with mean ~7.
+            ([0.0] * 15 + [2e-6] * 15 + [10.0] * 70, 0.0, 2e-6),
+        ],
+        ids=["zero-threshold", "small-threshold"],
+    )
+    def test_raw_split_where_scaled_value_is_flat(self, values, below, above):
+        f = TableFeaturizer(numeric_cols=["v"]).fit(pd.DataFrame({"v": values}))
+        z = f.transform(pd.DataFrame({"v": [below, above]}))[:, 0]
+        t = float((z[0] + z[1]) / 2)
+
+        def timeout(signum, frame):
+            raise TimeoutError("raw_split did not return within 5 s")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(5)
+        try:
+            col, x = f.raw_split(0, t)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert col == "v" and below <= x < above
+        zx, znext = f.transform(pd.DataFrame({"v": [x, np.nextafter(x, np.inf)]}))[:, 0]
+        assert zx <= t < znext
 
 
 class TestPipeline:
