@@ -27,4 +27,4 @@ def test_clustered(benchmark, setup, k):
     pipe, data, sample = setup
     cm = compile_clustered(pipe, sample, k=k, cluster_col="dest", seed=0)
     benchmark.extra_info["avg_features"] = cm.avg_features()
-    benchmark.pedantic(lambda: cm.predict_proba1(data), rounds=5, warmup_rounds=1)
+    benchmark.pedantic(lambda: cm.predict(data, "proba"), rounds=5, warmup_rounds=1)

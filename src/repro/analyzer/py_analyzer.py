@@ -34,7 +34,7 @@ from repro.ir import (
     Scan,
     UDFNode,
 )
-from repro.ir.plan import Catalog, walk
+from repro.ir.plan import Catalog, join_is_one_to_one
 
 _CMP_MAP = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
@@ -132,7 +132,7 @@ class _ScriptAnalyzer:
                         on = kw.value.value
                 if left is None or right is None or on is None:
                     return None
-                one = self._join_is_one_to_one(left, right, on)
+                one = join_is_one_to_one(left, right, on, on, self.catalog)
                 return Join(left, right, on, on, fk_one_to_one=one)
             if handler in {"predict", "predict_proba", "predict_score"}:
                 obj = node.func.value
@@ -148,16 +148,6 @@ class _ScriptAnalyzer:
                     kind = "score"
                 return MLPredict(data, obj.id, pipeline, "prediction", kind=kind)
         return None
-
-    def _join_is_one_to_one(self, left: PlanNode, right: PlanNode, on: str) -> bool:
-        """1:1 when the key is a declared unique key on both sides'
-        base tables (catalog-declared referential integrity)."""
-
-        def unique_in(p: PlanNode) -> bool:
-            scans = [n for n in walk(p) if isinstance(n, Scan)]
-            return any(on in self.catalog.unique_keys.get(s.table, set()) for s in scans)
-
-        return unique_in(left) and unique_in(right)
 
     def _mask_to_expr(self, node: ast.expr, env: _Env):
         """df["c"] > 3  /  df.c == 1  → Cmp IR expression."""

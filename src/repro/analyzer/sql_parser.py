@@ -14,8 +14,8 @@ where an item is ``*``, ``col``, ``col AS alias``, or the SQL Server
 Placement logic: WHERE conjuncts that reference only base columns
 become a Filter *below* the predict (the relational optimizer will push
 them further); conjuncts referencing the prediction alias filter
-*above* it. Join ``fk_one_to_one`` is set when the right join key is a
-declared unique key in the catalog.
+*above* it. Join ``fk_one_to_one`` is set by ``ir.plan.join_is_one_to_one``,
+the rule the script analyzer also uses.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from repro.ir import (
     and_all,
     conjuncts,
 )
-from repro.ir.plan import Catalog, output_columns
+from repro.ir.plan import Catalog, join_is_one_to_one, output_columns
 
 _TOKEN_RE = re.compile(
     r"""
@@ -241,10 +241,9 @@ def parse_inference_query(
             lk, rk = b, a
         else:
             raise KeyError(f"cannot resolve join keys {a}={b}")
-        one_to_one = rk in catalog.unique_keys.get(t, set()) and lk in {
-            k for tt in tables for k in catalog.unique_keys.get(tt, set())
-        }
-        plan = Join(plan, Scan(t), lk, rk, fk_one_to_one=one_to_one)
+        right = Scan(t)
+        plan = Join(plan, right, lk, rk,
+                    fk_one_to_one=join_is_one_to_one(plan, right, lk, rk, catalog))
 
     base_cols = set(output_columns(plan, catalog))
     predict_items = [(spec, alias) for k, spec, alias in items if k == "predict"]

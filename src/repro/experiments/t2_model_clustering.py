@@ -47,7 +47,7 @@ def run(n_infer: int = 700_000, n_train: int = 50_000, seed: int = 0,
         if k == 1:
             continue
         cm = compile_clustered(pipe, sample, k=k, cluster_col="dest", seed=seed)
-        t = measure(lambda: cm.predict_proba1(data), warmup=1, runs=runs)
+        t = measure(lambda: cm.predict(data, "proba"), warmup=1, runs=runs)
         rows.append(
             {
                 "dataset": "flights", "k": k,
@@ -82,7 +82,7 @@ def run_hospital(n_infer: int = 300_000, n_train: int = 20_000, seed: int = 0,
     ]
     for k in (ks or [2, 8]):
         cm = compile_clustered(pipe, sample, k=k, cluster_col="pregnant", seed=seed)
-        t = measure(lambda: cm.predict_proba1(data), warmup=1, runs=runs)
+        t = measure(lambda: cm.predict(data, "proba"), warmup=1, runs=runs)
         rows.append(
             {"dataset": "hospital", "k": k, "avg_features": cm.avg_features(),
              "infer_s": t.median,

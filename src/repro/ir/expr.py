@@ -13,6 +13,17 @@ import math
 from dataclasses import dataclass, field
 
 
+def sql_double(v: float) -> str:
+    """SQL double literal with round-trip precision. Scientific
+    notation ('4.5E0') forces DOUBLE in both Spark and DuckDB, which
+    type a bare decimal ('4.5') as DECIMAL; DuckDB's DECIMAL→DOUBLE cast
+    does not round correctly (it reads 1970.9999999999998 as 1971.0)."""
+    s = f"{float(v):.17g}"
+    if "e" in s or "E" in s:
+        return s
+    return s + "E0"
+
+
 class Expr:
     def columns(self) -> set[str]:
         raise NotImplementedError
@@ -50,6 +61,8 @@ class Lit(Expr):
             return "'" + v.replace("'", "''") + "'"
         if v is None:
             return "NULL"
+        if isinstance(v, float):
+            return sql_double(v)
         return repr(v)
 
 

@@ -8,12 +8,14 @@ optimizer sees model internals and data operators in one DAG.
 
 Every predict-style node implements ``predict_pandas(pdf) -> np.ndarray``.
 What a predict emits for each ``kind`` is written once per physical
-form: ``pipeline_output`` for a miniml pipeline and ``graph_output`` for
-an onnxlite graph. Predict nodes, the external-script worker and the
-standalone engine runs of the experiments all go through these two
-functions. The Spark codegen inlines a tree or linear-model
-``MLPredict`` as its SQL expression and scores every other predict in
-``mapInPandas`` over ``predict_pandas``.
+form: ``model_output`` for a miniml estimator over a feature matrix
+(``pipeline_output`` featurizes a pipeline's rows for it, clustered
+scoring each cluster's) and ``graph_output`` for an onnxlite graph.
+Predict nodes, the external-script worker and the standalone engine
+runs of the experiments all go through these functions. The Spark
+codegen inlines a tree or linear-model ``MLPredict`` as its SQL
+expression and scores every other predict in ``mapInPandas`` over
+``predict_pandas``.
 """
 from __future__ import annotations
 
@@ -131,17 +133,23 @@ class Union(PlanNode):
 GRAPH_CHUNK_ROWS = 50_000
 
 
-def pipeline_output(pipeline, pdf: pd.DataFrame, kind: str) -> np.ndarray:
-    """Predict-output contract, pipeline form: ``label`` (predicted
-    class / regression value), ``proba`` (P[class 1]) or ``score``
-    (margin), as float64."""
+def model_output(model, X: np.ndarray, kind: str) -> np.ndarray:
+    """Predict-output contract over a feature matrix ``X``: ``label``
+    (predicted class / regression value), ``proba`` (P[class 1]) or
+    ``score`` (margin) of a miniml estimator, as float64."""
     if kind == "label":
-        return np.asarray(pipeline.predict(pdf), dtype=np.float64)
+        return np.asarray(model.predict(X), dtype=np.float64)
     if kind == "proba":
-        return pipeline.predict_proba(pdf)[:, 1]
+        return model.predict_proba(X)[:, 1]
     if kind == "score":
-        return np.asarray(pipeline.decision_function(pdf), dtype=np.float64)
+        return np.asarray(model.decision_function(X), dtype=np.float64)
     raise ValueError(f"bad kind {kind!r}")
+
+
+def pipeline_output(pipeline, pdf: pd.DataFrame, kind: str) -> np.ndarray:
+    """Predict-output contract, pipeline form: ``model_output`` of the
+    pipeline's featurized rows."""
+    return model_output(pipeline.model, pipeline.featurizer.transform(pdf), kind)
 
 
 def graph_output(run, featurizer, pdf: pd.DataFrame, kind: str,
@@ -232,37 +240,26 @@ class NNPredict(UnaryNode):
 
 @dataclass(eq=False)
 class ClusteredPredict(UnaryNode):
-    """Model-clustering execution: route each row to its (offline
-    k-means) cluster and score with that cluster's precompiled model."""
+    """Model-clustering execution: ``clustered`` (an
+    ``optimizer.clustering.ClusteredModel``) routes each row to its
+    (offline k-means) cluster and scores it with that cluster's
+    precompiled model."""
 
     child: PlanNode
     model_name: str
-    router: object  # callable: pdf -> cluster ids (np.ndarray int)
-    cluster_pipelines: list  # per-cluster miniml.Pipeline
+    clustered: object  # optimizer.clustering.ClusteredModel
     output_col: str
     kind: str = "proba"
 
     @property
     def input_cols(self) -> list[str]:
-        cols: list[str] = []
-        for p in self.cluster_pipelines:
-            for c in p.input_cols:
-                if c not in cols:
-                    cols.append(c)
-        return cols
+        return list(self.clustered.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        cids = np.asarray(self.router(pdf))
-        out = np.empty(len(pdf), dtype=np.float64)
-        for cid in np.unique(cids):
-            mask = cids == cid
-            out[mask] = pipeline_output(
-                self.cluster_pipelines[int(cid)], pdf.loc[mask], self.kind
-            )
-        return out
+        return self.clustered.predict(pdf, self.kind)
 
     def label(self) -> str:
-        return f"ClusteredPredict({self.model_name}×{len(self.cluster_pipelines)})"
+        return f"ClusteredPredict({self.model_name}×{len(self.clustered.pipelines)})"
 
 
 @dataclass(eq=False)

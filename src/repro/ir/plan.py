@@ -32,6 +32,19 @@ class Catalog:
         return self
 
 
+def join_is_one_to_one(left: PlanNode, right: PlanNode, left_on: str, right_on: str,
+                       catalog: Catalog) -> bool:
+    """Whether a join is ``fk_one_to_one``: its key is a declared unique
+    key of a base table on each side (catalog-declared referential
+    integrity). Both analyzers ask this one rule."""
+
+    def unique_in(p: PlanNode, key: str) -> bool:
+        return any(key in catalog.unique_keys.get(n.table, set())
+                   for n in walk(p) if isinstance(n, Scan))
+
+    return unique_in(left, left_on) and unique_in(right, right_on)
+
+
 def walk(node: PlanNode) -> Iterator[PlanNode]:
     """Post-order traversal."""
     for c in node.children:

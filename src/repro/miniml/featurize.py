@@ -35,20 +35,15 @@ def _double(k: int) -> float:
 
 @dataclass
 class OneHotEncoder:
-    """Dense one-hot for a single column with a closed category set."""
+    """The closed category set of a single column and its integer
+    codes; ``TableFeaturizer.dense`` scatters the codes into one-hot
+    columns."""
 
     categories_: list = field(default_factory=list)
 
     def fit(self, values) -> "OneHotEncoder":
         self.categories_ = sorted(pd.unique(pd.Series(values)).tolist())
         return self
-
-    def transform(self, values) -> np.ndarray:
-        codes = self.codes(values)
-        out = np.zeros((len(codes), len(self.categories_)))
-        valid = codes >= 0
-        out[np.nonzero(valid)[0], codes[valid]] = 1.0
-        return out
 
     def codes(self, values) -> np.ndarray:
         """Integer codes (−1 for unseen categories → all-zero row)."""
@@ -111,10 +106,19 @@ class TableFeaturizer:
         ]
 
     @property
+    def blocks(self) -> list[tuple[str, int]]:
+        """The feature matrix's column blocks in order, each as its
+        ``transform_codes`` feed and width: ``num``, the numeric block,
+        then one ``cat_<col>`` one-hot block per categorical column,
+        whose feed holds the category codes."""
+        blocks = [("num", len(self.numeric_cols))] if self.numeric_cols else []
+        return blocks + [
+            (f"cat_{c}", len(self.encoders[c].categories_)) for c in self.categorical_cols
+        ]
+
+    @property
     def n_features(self) -> int:
-        return len(self.numeric_cols) + sum(
-            len(self.encoders[c].categories_) for c in self.categorical_cols
-        )
+        return sum(width for _, width in self.blocks)
 
     @property
     def input_cols(self) -> list[str]:
@@ -122,24 +126,27 @@ class TableFeaturizer:
 
     # ------------------------------------------------------- transform
     def transform(self, df: pd.DataFrame) -> np.ndarray:
-        """Single-allocation dense featurization: numeric block and
-        one-hot blocks are written straight into the output matrix (no
-        hstack copy — inference cost tracks feature width, which is what
-        the projection/clustering optimizations shrink)."""
-        n = len(df)
-        out = np.zeros((n, self.n_features))
+        """The dense feature matrix of ``df``."""
+        return self.dense(self.transform_codes(df), len(df))
+
+    def dense(self, feeds: dict[str, np.ndarray], n_rows: int) -> np.ndarray:
+        """The dense feature matrix of ``n_rows`` rows from
+        ``transform_codes``-shaped feeds: the scaled ``num`` block, then
+        each ``cat_<col>`` code vector scattered into its one-hot block,
+        where code −1 (an unseen or NULL category) gives a zero row.
+        Every block is written straight into one allocation (no hstack
+        copy — inference cost tracks feature width, which is what the
+        projection/clustering optimizations shrink)."""
+        out = np.zeros((n_rows, self.n_features))
         col = 0
-        if self.numeric_cols:
-            num = df[self.numeric_cols].to_numpy(dtype=np.float64)
-            k = len(self.numeric_cols)
-            out[:, :k] = self.scaler.transform(num) if self.scaler else num
-            col = k
-        for c in self.categorical_cols:
-            enc = self.encoders[c]
-            codes = enc.codes(df[c])
-            valid = codes >= 0
-            out[np.nonzero(valid)[0], col + codes[valid]] = 1.0
-            col += len(enc.categories_)
+        for feed, width in self.blocks:
+            x = feeds[feed]
+            if feed == "num":
+                out[:, :width] = self.scaler.transform(x) if self.scaler else x
+            else:
+                valid = x >= 0
+                out[np.nonzero(valid)[0], col + x[valid]] = 1.0
+            col += width
         return out
 
     def raw_split(self, feature_idx: int, t: float) -> tuple[str, float]:
@@ -181,10 +188,10 @@ class TableFeaturizer:
         return col, _double(lo)
 
     def transform_codes(self, df: pd.DataFrame) -> dict[str, np.ndarray]:
-        """Inputs for the NN-graph form of this featurizer: the *raw*
-        numeric block (the graph owns scaling, see
-        ``onnxlite.convert.featurizer_nodes``) plus one int-code vector
-        per categorical column."""
+        """The feeds of ``dense`` and of the NN-graph form of this
+        featurizer, one per block: the *raw* numeric block ``num`` (the
+        consumer scales it) plus one int-code vector ``cat_<col>`` per
+        categorical column."""
         out: dict[str, np.ndarray] = {}
         if self.numeric_cols:
             out["num"] = df[self.numeric_cols].to_numpy(dtype=np.float64)

@@ -21,6 +21,10 @@ A row goes right when its feature is NaN (``NaN <= t`` is false), at
 that node only, exactly as ``DecisionTree.apply`` does. The cost is one
 batch of gathers per level — O(rows · trees · depth) — where the 3-GEMM
 form multiplies every row by every internal node and every leaf.
+
+A pipeline graph reads ``TableFeaturizer.transform_codes``'s feeds. Its
+linear models and MLPs never build the one-hot matrix: the first affine
+layer gathers each one-hot block's weight rows by category code.
 """
 from __future__ import annotations
 
@@ -117,96 +121,140 @@ def forest_to_graph(model: DecisionTree | RandomForest, input_name: str = "X") -
     return g
 
 
-def linear_to_graph(model, input_name: str = "X") -> Graph:
-    """Compile LinearRegression / LogisticRegressionL1. Outputs:
-    ``score`` (= Xw + b) and, for logistic, ``proba`` (= sigmoid)."""
-    inits = {"W": model.coef_.reshape(-1, 1), "b": np.float64(model.intercept_)}
-    nodes = [
-        Node("MatMul", [input_name, "W"], "xw"),
-        Node("Add", ["xw", "b"], "score2d"),
-        Node("Reshape", ["score2d"], "score", {"shape": [-1]}),
-    ]
+# A column block of a model's input matrix as a graph tensor: (tensor,
+# width, whether the tensor holds the block's one-hot category codes).
+Block = tuple[str, int, bool]
+
+
+def _affine(blocks: list[Block], W: np.ndarray, b, out: str
+            ) -> tuple[list[Node], dict[str, np.ndarray]]:
+    """Nodes computing ``X @ W + b`` into ``out``, where ``X`` is given
+    as its column blocks. A dense block multiplies its rows of ``W``. A
+    one-hot block never materializes: its codes ``Gather`` its rows of
+    ``W`` (an embedding bag), plus one appended zero row that code −1
+    (an unseen or NULL category) reads, as the one-hot encoder's zero
+    row does. The parts are summed in block order, then the bias."""
+    nodes: list[Node] = []
+    inits: dict[str, np.ndarray] = {}
+    parts: list[str] = []
+    start = 0
+    for j, (x, width, one_hot) in enumerate(blocks):
+        rows = W[start : start + width]
+        start += width
+        w, part = f"{out}_W{j}", f"{out}_x{j}"
+        if one_hot:
+            inits[w] = np.vstack([rows, np.zeros((1, rows.shape[1]))])
+            nodes.append(Node("Gather", [w, x], part))
+        else:
+            inits[w] = rows
+            nodes.append(Node("MatMul", [x, w], part))
+        parts.append(part)
+    inits[f"{out}_b"] = b
+    parts.append(f"{out}_b")
+    acc = parts[0]
+    for j, part in enumerate(parts[1:], 1):
+        nxt = out if j == len(parts) - 1 else f"{out}_sum{j}"
+        nodes.append(Node("Add", [acc, part], nxt))
+        acc = nxt
+    return nodes, inits
+
+
+def linear_to_graph(model, blocks: list[Block] | None = None) -> Graph:
+    """Compile LinearRegression / LogisticRegressionL1 over the column
+    ``blocks`` of a pipeline's features, by default one dense input
+    ``X``. Outputs: ``score`` (= Xw + b) and, for logistic, ``proba``
+    (= sigmoid)."""
+    blocks = [("X", len(model.coef_), False)] if blocks is None else blocks
+    nodes, inits = _affine(blocks, model.coef_.reshape(-1, 1),
+                           np.float64(model.intercept_), "score2d")
+    nodes.append(Node("Reshape", ["score2d"], "score", {"shape": [-1]}))
     outputs = ["score"]
     if isinstance(model, LogisticRegressionL1):
         nodes.append(Node("Sigmoid", ["score"], "proba"))
         outputs.append("proba")
-    g = Graph(inputs=[input_name], outputs=outputs, nodes=nodes, initializers=inits,
-              name="linear")
+    g = Graph(inputs=[x for x, _, _ in blocks], outputs=outputs, nodes=nodes,
+              initializers=inits, name="linear")
     g.validate()
     return g
 
 
-def mlp_to_graph(mlp: MLPClassifier, input_name: str = "X") -> Graph:
-    """Compile an MLP: Gemm/Relu chain + sigmoid head."""
-    nodes: list[Node] = []
-    inits: dict[str, np.ndarray] = {}
-    h = input_name
-    n_layers = len(mlp.weights)
-    for i, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        inits[f"W{i}"] = W
-        inits[f"b{i}"] = b
-        nodes.append(Node("Gemm", [h, f"W{i}", f"b{i}"], f"z{i}"))
-        h = f"z{i}"
-        if i < n_layers - 1:
-            nodes.append(Node("Relu", [h], f"a{i}"))
-            h = f"a{i}"
-    nodes.append(Node("Reshape", [h], "score", {"shape": [-1]}))
+def mlp_to_graph(mlp: MLPClassifier, blocks: list[Block] | None = None) -> Graph:
+    """Compile an MLP over the column ``blocks`` of a pipeline's
+    features, by default one dense input ``X``: an affine first layer,
+    then a Relu/Gemm chain and a sigmoid head."""
+    blocks = [("X", len(mlp.weights[0]), False)] if blocks is None else blocks
+    nodes, inits = _affine(blocks, mlp.weights[0], mlp.biases[0], "z0")
+    for i in range(1, len(mlp.weights)):
+        inits[f"W{i}"], inits[f"b{i}"] = mlp.weights[i], mlp.biases[i]
+        nodes.append(Node("Relu", [f"z{i - 1}"], f"a{i - 1}"))
+        nodes.append(Node("Gemm", [f"a{i - 1}", f"W{i}", f"b{i}"], f"z{i}"))
+    nodes.append(Node("Reshape", [f"z{len(mlp.weights) - 1}"], "score", {"shape": [-1]}))
     nodes.append(Node("Sigmoid", ["score"], "proba"))
-    g = Graph(inputs=[input_name], outputs=["score", "proba"],
+    g = Graph(inputs=[x for x, _, _ in blocks], outputs=["score", "proba"],
               nodes=nodes, initializers=inits, name="mlp")
     g.validate()
     return g
 
 
-def featurizer_nodes(
-    feat: TableFeaturizer, output_name: str = "features"
-) -> tuple[list[str], list[Node], dict[str, np.ndarray]]:
-    """Emit the featurizer as graph ops: inputs are the raw ``num``
-    block and one int-code tensor per categorical column; output is the
-    dense feature matrix (scaled numerics ++ one-hot blocks)."""
-    inputs: list[str] = []
+def featurizer_nodes(feat: TableFeaturizer
+                     ) -> tuple[list[Node], dict[str, np.ndarray], list[Block]]:
+    """Emit the featurizer as graph ops over ``transform_codes``'s
+    feeds. Returns (nodes, initializers, the ``TableFeaturizer.blocks``
+    as tensors): the nodes scale the numeric block; a one-hot block
+    stays its codes."""
     nodes: list[Node] = []
     inits: dict[str, np.ndarray] = {}
-    parts: list[str] = []
-    if feat.numeric_cols:
-        inputs.append("num")
-        if feat.scaler is not None:
+    blocks: list[Block] = []
+    for feed, width in feat.blocks:
+        if feed == "num" and feat.scaler is not None:
             inits["f_mean"] = feat.scaler.mean_
             inits["f_scale"] = feat.scaler.scale_
             nodes.append(Node("Sub", ["num", "f_mean"], "f_centered"))
             nodes.append(Node("Div", ["f_centered", "f_scale"], "f_num"))
-            parts.append("f_num")
+            blocks.append(("f_num", width, False))
         else:
-            parts.append("num")
-    for c in feat.categorical_cols:
-        inp = f"cat_{c}"
-        inputs.append(inp)
-        depth = len(feat.encoders[c].categories_)
-        nodes.append(Node("OneHot", [inp], f"f_oh_{c}", {"depth": depth}))
-        parts.append(f"f_oh_{c}")
+            blocks.append((feed, width, feed != "num"))
+    return nodes, inits, blocks
+
+
+def _dense_features(blocks: list[Block], output_name: str) -> list[Node]:
+    """Materialize the feature matrix from its blocks, the form tree
+    traversal gathers its tested features from: ``OneHot`` per one-hot
+    block, joined by ``Concat``."""
+    nodes: list[Node] = []
+    parts: list[str] = []
+    for x, width, one_hot in blocks:
+        if one_hot:
+            part = f"f_oh_{x.removeprefix('cat_')}"
+            nodes.append(Node("OneHot", [x], part, {"depth": width}))
+            x = part
+        parts.append(x)
     if len(parts) == 1:
         nodes.append(Node("Identity", [parts[0]], output_name))
     else:
         nodes.append(Node("Concat", parts, output_name, {"axis": 1}))
-    return inputs, nodes, inits
+    return nodes
 
 
 def pipeline_to_graph(pipe: Pipeline) -> Graph:
     """Compile featurizer + estimator end-to-end (the Fig. 3 pipelines).
-    Feed with ``TableFeaturizer.transform_codes`` outputs."""
-    inputs, nodes, inits = featurizer_nodes(pipe.featurizer, "features")
+    Feed with ``TableFeaturizer.transform_codes`` outputs. Linear models
+    and MLPs read the feature blocks directly; trees and forests read a
+    dense feature matrix."""
+    nodes, inits, blocks = featurizer_nodes(pipe.featurizer)
     model = pipe.model
     if isinstance(model, (DecisionTree, RandomForest)):
+        nodes.extend(_dense_features(blocks, "features"))
         sub = forest_to_graph(model, "features")
     elif isinstance(model, (LogisticRegressionL1, LinearRegression)):
-        sub = linear_to_graph(model, "features")
+        sub = linear_to_graph(model, blocks=blocks)
     elif isinstance(model, MLPClassifier):
-        sub = mlp_to_graph(model, "features")
+        sub = mlp_to_graph(model, blocks=blocks)
     else:
         raise TypeError(f"cannot NN-translate {type(model).__name__}")
     nodes.extend(sub.nodes)
     inits.update(sub.initializers)
-    g = Graph(inputs=inputs, outputs=list(sub.outputs), nodes=nodes,
-              initializers=inits, name="pipeline")
+    g = Graph(inputs=[feed for feed, _ in pipe.featurizer.blocks], outputs=list(sub.outputs),
+              nodes=nodes, initializers=inits, name="pipeline")
     g.validate()
     return g

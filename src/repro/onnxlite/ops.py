@@ -6,14 +6,15 @@ mirrors the slice of ONNX needed by the paper's translated models:
 tree traversal (Gather/GatherElements/LessOrEqual/Where/ReduceSum),
 linear models (MatMul/Add/Sigmoid), MLPs (Gemm/Relu), featurizers
 (OneHot/Concat/Sub/Div) and output shaping (Reshape/Transpose/Identity):
-exactly the ops that ``onnxlite.convert`` and ``onnxlite.optimizer``
-emit.
+exactly the ops that ``onnxlite.convert`` emits.
 """
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+from repro.miniml.linear import sigmoid
 
 Kernel = Callable[[list[np.ndarray], dict], np.ndarray]
 
@@ -61,13 +62,7 @@ def _relu(ins, attrs):
 
 @register("Sigmoid")
 def _sigmoid(ins, attrs):
-    z = ins[0]
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return sigmoid(ins[0])
 
 
 @register("LessOrEqual")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.ir.ops import ClusteredPredict, PlanNode
+from repro.ir.ops import ClusteredPredict, model_output
 from repro.miniml.kmeans import KMeans
 from repro.miniml.pipeline import Pipeline
 
@@ -64,35 +64,34 @@ class ClusteredModel:
             cache[key] = remap
         return cache[key]
 
-    def predict_proba1(self, pdf: pd.DataFrame) -> np.ndarray:
-        """Clustered scoring. Featurization state (numeric block,
-        categorical codes) is computed once over the batch; each
-        cluster then builds its *narrower* dense feature matrix and runs
-        the same dense GEMM the baseline runs — the saving is exactly
-        the dropped feature columns, with no duplicated pandas work."""
-        from repro.miniml.linear import sigmoid
+    @property
+    def input_cols(self) -> list[str]:
+        return list(self.fallback.input_cols)
 
+    def predict(self, pdf: pd.DataFrame, kind: str) -> np.ndarray:
+        """Clustered scoring, with ``pipeline_output``'s contract. The
+        batch's feeds (raw numeric block, category codes) are computed
+        once; each cluster then builds its *narrower* dense matrix from
+        them through ``TableFeaturizer.dense``, its codes remapped to
+        the cluster model's categories, and runs the same model the
+        baseline runs — the saving is exactly the dropped feature
+        columns, with no duplicated pandas work. A row whose cluster
+        column is NULL or unseen (cluster id −1) scores with the
+        fallback pipeline."""
         feat0 = self.fallback.featurizer
-        num = pdf[feat0.numeric_cols].to_numpy(dtype=np.float64) if feat0.numeric_cols else None
-        codes = {c: feat0.encoders[c].codes(pdf[c]) for c in feat0.categorical_cols}
+        codes = feat0.transform_codes(pdf)
         cids = self.router(pdf)
         out = np.empty(len(pdf), dtype=np.float64)
         for cid in np.unique(cids):
             idx = np.nonzero(cids == cid)[0]
             pipe = self.fallback if cid < 0 else self.pipelines[int(cid)]
             f = pipe.featurizer
-            X = np.zeros((len(idx), f.n_features))
-            col = 0
+            feeds = {f"cat_{c}": self._remap(pipe, c)[codes[f"cat_{c}"][idx]]
+                     for c in f.categorical_cols}
             if f.numeric_cols:
-                sub = num[np.ix_(idx, [feat0.numeric_cols.index(c) for c in f.numeric_cols])]
-                col = len(f.numeric_cols)
-                X[:, :col] = f.scaler.transform(sub) if f.scaler else sub
-            for c in f.categorical_cols:
-                loc = self._remap(pipe, c)[codes[c][idx]]
-                v = loc >= 0
-                X[np.nonzero(v)[0], col + loc[v]] = 1.0
-                col += len(f.encoders[c].categories_)
-            out[idx] = sigmoid(X @ pipe.model.coef_ + pipe.model.intercept_)
+                cols = [feat0.numeric_cols.index(c) for c in f.numeric_cols]
+                feeds["num"] = codes["num"][np.ix_(idx, cols)]
+            out[idx] = model_output(pipe.model, f.dense(feeds, len(idx)), kind)
         return out
 
     def avg_features(self) -> float:
@@ -153,8 +152,7 @@ def to_clustered_predict(node, clustered: ClusteredModel) -> ClusteredPredict:
     return ClusteredPredict(
         child=node.child,
         model_name=f"{node.model_name}_clustered",
-        router=clustered.router,
-        cluster_pipelines=clustered.pipelines,
+        clustered=clustered,
         output_col=node.output_col,
         kind=node.kind,
     )

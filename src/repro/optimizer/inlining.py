@@ -25,20 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ir.expr import sql_double
 from repro.ir.ops import MLPredict
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
-
-
-def _fmt(v: float) -> str:
-    """SQL double literal with round-trip precision. Scientific
-    notation ('4.5E0') forces DOUBLE in both Spark (which types bare
-    decimals as DECIMAL) and DuckDB."""
-    s = f"{float(v):.17g}"
-    if "e" in s or "E" in s:
-        return s
-    return s + "E0"
 
 
 def _key(v) -> str:
@@ -48,7 +39,7 @@ def _key(v) -> str:
         return "'" + v.replace("'", "''") + "'"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return _fmt(v)
+    return sql_double(v)
 
 
 def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
@@ -59,17 +50,17 @@ def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
     def leaf_sql(i: int) -> str:
         if tree.task == "classification":
             if kind == "proba":
-                return _fmt(tree.value[i, 1])
+                return sql_double(tree.value[i, 1])
             cls = tree.classes_[int(np.argmax(tree.value[i]))]
-            return _fmt(float(cls))
-        return _fmt(tree.value[i, 0])
+            return sql_double(float(cls))
+        return sql_double(tree.value[i, 0])
 
     def rec(i: int) -> str:
         if tree.feature[i] == LEAF:
             return leaf_sql(i)
         col, t = feat.raw_split(int(tree.feature[i]), float(tree.threshold[i]))
         return (
-            f"CASE WHEN {col} <= {_fmt(t)} THEN {rec(int(tree.left[i]))} "
+            f"CASE WHEN {col} <= {sql_double(t)} THEN {rec(int(tree.left[i]))} "
             f"ELSE {rec(int(tree.right[i]))} END"
         )
 
@@ -78,7 +69,7 @@ def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
 
 def linear_to_sql(model, feat, kind: str = "score") -> str:
     """w·x + b over raw columns; each one-hot block is one map lookup."""
-    terms = [_fmt(model.intercept_)]
+    terms = [sql_double(model.intercept_)]
     blocks: dict[str, list[tuple[object, float]]] = {}
     for idx, spec in enumerate(feat.feature_specs):
         w = float(model.coef_[idx])
@@ -89,14 +80,14 @@ def linear_to_sql(model, feat, kind: str = "score") -> str:
             if feat.scaler is not None:
                 j = feat.numeric_cols.index(col)
                 m, s = feat.scaler.mean_[j], feat.scaler.scale_[j]
-                terms.append(f"({_fmt(w)} * (({col} - {_fmt(m)}) / {_fmt(s)}))")
+                terms.append(f"({sql_double(w)} * (({col} - {sql_double(m)}) / {sql_double(s)}))")
             else:
-                terms.append(f"({_fmt(w)} * {col})")
+                terms.append(f"({sql_double(w)} * {col})")
         else:
             blocks.setdefault(spec[1], []).append((spec[2], w))
     for col, entries in blocks.items():
         keys = ", ".join(_key(cat) for cat, _ in entries)
-        weights = ", ".join(_fmt(w) for _, w in entries)
+        weights = ", ".join(sql_double(w) for _, w in entries)
         terms.append(
             f"coalesce(element_at(map_from_arrays(array({keys}), array({weights})), "
             f"{col}), 0.0E0)"

@@ -40,7 +40,7 @@ class TestExprSql:
             (Cmp("!=", Col("a"), Lit(2)), "(a <> 2)"),
             (Cmp("=", Col("dest"), Lit("JFK")), "(dest = 'JFK')"),
             (Cmp("=", Col("s"), Lit("O'Hare")), "(s = 'O''Hare')"),
-            (Cmp(">", Col("x"), Lit(1.5)), "(x > 1.5)"),
+            (Cmp(">", Col("x"), Lit(1.5)), "(x > 1.5E0)"),
             (Not(Cmp("=", Col("x"), Lit(1))), "(NOT (x = 1))"),
             (
                 Or(Cmp("<", Col("x"), Lit(1)), Cmp(">", Col("x"), Lit(2))),
@@ -78,6 +78,20 @@ class TestExprSql:
         pd.testing.assert_frame_equal(
             got.reset_index(drop=True), exp.reset_index(drop=True)
         )
+
+    def test_float_literal_is_the_same_double_in_spark_and_duckdb(self, spark):
+        """A float literal renders as a DOUBLE. Read as a DECIMAL,
+        DuckDB's cast to DOUBLE turns 1970.9999999999998 into 1971.0
+        and lets the 1971.0 row through the filter."""
+        from repro.oracle import assert_equivalent
+        from repro.runtime.codegen import to_dataframe
+
+        v = 1970.9999999999998
+        pdf = pd.DataFrame({"x": [1970.0, v, 1971.0, 1972.0]})
+        pred = Cmp("<=", Col("x"), Lit(v))
+        df = to_dataframe(Filter(Scan("t"), pred), spark, {"t": spark.createDataFrame(pdf)})
+        assert sorted(df.toPandas()["x"]) == [1970.0, v]
+        assert_equivalent(df, f"SELECT x FROM t WHERE {pred.to_sql()}", t=pdf)
 
 
 class TestConjunctsConstraints:

@@ -32,16 +32,6 @@ class TestOneHot:
         enc = OneHotEncoder().fit(["b", "a", "c", "a"])
         assert enc.categories_ == ["a", "b", "c"]
 
-    def test_transform_matrix(self):
-        enc = OneHotEncoder().fit(["a", "b"])
-        out = enc.transform(["b", "a", "b"])
-        np.testing.assert_array_equal(out, [[0, 1], [1, 0], [0, 1]])
-
-    def test_unseen_category_all_zero(self):
-        enc = OneHotEncoder().fit(["a", "b"])
-        out = enc.transform(["z"])
-        np.testing.assert_array_equal(out, [[0, 0]])
-
     def test_codes(self):
         enc = OneHotEncoder().fit(["a", "b", "c"])
         np.testing.assert_array_equal(enc.codes(["c", "a", "z"]), [2, 0, -1])
@@ -86,6 +76,34 @@ class TestTableFeaturizer:
         f = TableFeaturizer(categorical_cols=["city"]).fit(df)
         X = f.transform(df)
         np.testing.assert_allclose(X.sum(axis=1), 1.0)
+
+    def test_onehot_transform_matrix(self):
+        f = TableFeaturizer(categorical_cols=["c"]).fit(pd.DataFrame({"c": ["a", "b"]}))
+        out = f.transform(pd.DataFrame({"c": ["b", "a", "b"]}))
+        np.testing.assert_array_equal(out, [[0, 1], [1, 0], [0, 1]])
+
+    def test_unseen_or_null_category_all_zero(self):
+        f = TableFeaturizer(numeric_cols=["x"], categorical_cols=["c", "d"], scale=False)
+        f.fit(pd.DataFrame({"x": [1.0, 2.0], "c": ["a", "b"], "d": ["u", "v"]}))
+        out = f.transform(pd.DataFrame({"x": [3.0, 4.0], "c": ["z", None], "d": ["v", "u"]}))
+        np.testing.assert_array_equal(out, [[3, 0, 0, 0, 1], [4, 0, 0, 1, 0]])
+
+    def test_dense_over_a_row_subset_of_the_codes(self):
+        """``dense`` of any rows of the ``transform_codes`` feeds (as
+        clustered scoring takes them) is those rows of ``transform``,
+        including unseen and NULL categories; ``blocks`` names the feeds
+        in matrix order."""
+        train, score = _df(), _df(60, seed=2)
+        score.loc[::5, "city"] = "LAX"
+        score.loc[1::7, "carrier"] = None
+        f = TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["city", "carrier"])
+        f.fit(train)
+        feeds = f.transform_codes(score)
+        assert f.blocks == [("num", 2), ("cat_city", 3), ("cat_carrier", 2)]
+        assert [name for name, _ in f.blocks] == list(feeds)
+        rows = np.arange(0, 60, 3)
+        sub = {name: v[rows] for name, v in feeds.items()}
+        np.testing.assert_array_equal(f.dense(sub, len(rows)), f.transform(score)[rows])
 
     def test_input_cols(self):
         f = TableFeaturizer(numeric_cols=["age"], categorical_cols=["city"])

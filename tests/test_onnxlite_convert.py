@@ -5,6 +5,8 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ir import MLPredict, Scan
+from repro.ir.ops import pipeline_output
 from repro.miniml import (
     DecisionTree,
     LogisticRegressionL1,
@@ -20,6 +22,7 @@ from repro.onnxlite.convert import (
     mlp_to_graph,
     pipeline_to_graph,
 )
+from repro.optimizer.nn_translate import translate_predict
 
 
 def _data(n=300, d=5, seed=0):
@@ -240,41 +243,49 @@ class TestPipelineToGraph:
             pipe.model.predict_value(pipe.featurizer.transform(df)),
         )
 
-    def _unseen_codes(self, pipe, df):
+    def _translated(self, pipe, df):
+        """``translate_predict``'s graph and its output for every kind,
+        on ``df`` with unseen and NULL categories, next to
+        ``pipeline_output``'s."""
         q = df.copy()
         q.loc[::4, "dest"] = "ORD"  # not a training category: code -1
+        q.loc[1::5, "carrier"] = None
         feeds = pipe.featurizer.transform_codes(q)
         assert (feeds["cat_dest"] == -1).sum() == len(q[::4])
-        return feeds
+        assert (feeds["cat_carrier"] == -1).sum() == len(q[1::5])
+        nn = translate_predict(MLPredict(Scan("t"), "m", pipe, "p"))
+        for kind in ("label", "proba", "score"):
+            nn.kind = kind
+            np.testing.assert_allclose(nn.predict_pandas(q), pipeline_output(pipe, q, kind),
+                                       rtol=0, atol=1e-12)
+        return nn.graph
 
     def test_embedding_bag_logistic_pipeline(self):
         pipe, df = self._pipe(LogisticRegressionL1(alpha=0.001))
-        g = pipeline_to_graph(pipe)
-        feeds = self._unseen_codes(pipe, df)
-        rewritten = optimize(g)
-        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in rewritten.nodes)
-        for out in ("score", "proba"):
-            np.testing.assert_allclose(rewritten.run(feeds)[out], g.run(feeds)[out])
+        g = self._translated(pipe, df)
+        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in g.nodes)
+        assert [n.op_type for n in g.nodes].count("Gather") == 2
 
     def test_embedding_bag_mlp_gemm_pipeline(self):
-        pipe, df = self._pipe(MLPClassifier(hidden=(8,), epochs=3, seed=1))
-        g = pipeline_to_graph(pipe)
-        feeds = self._unseen_codes(pipe, df)
-        rewritten = optimize(g)
-        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in rewritten.nodes)
-        np.testing.assert_allclose(rewritten.run(feeds)["score"], g.run(feeds)["score"])
+        pipe, df = self._pipe(MLPClassifier(hidden=(8, 4), epochs=3, seed=1))
+        g = self._translated(pipe, df)
+        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in g.nodes)
+        assert [n.op_type for n in g.nodes].count("Gemm") == 2
 
     def test_embedding_bag_flights_lr_graph(self):
         from repro.datasets import flights
         from repro.experiments.common import flights_lr_pipeline
 
         pipe = flights_lr_pipeline(n_train=2_000)
-        g = pipeline_to_graph(pipe)
-        rewritten = optimize(g)
-        ops = {n.op_type for n in rewritten.nodes}
+        nn = translate_predict(MLPredict(Scan("t"), "m", pipe, "p", kind="proba"))
+        ops = [n.op_type for n in nn.graph.nodes]
         assert "OneHot" not in ops and "Concat" not in ops
-        feeds = pipe.featurizer.transform_codes(flights.frame(500, seed=7))
-        np.testing.assert_allclose(rewritten.run(feeds)["proba"], g.run(feeds)["proba"])
+        assert ops.count("Gather") == len(flights.CATEGORICAL)
+        q = flights.frame(500, seed=7)
+        q.loc[::6, "origin"] = None
+        q.loc[1::11, "dest"] = "ZZZ"
+        np.testing.assert_allclose(nn.predict_pandas(q), pipeline_output(pipe, q, "proba"),
+                                   rtol=0, atol=1e-12)
 
     def test_emitted_ops_are_the_kernels(self):
         """onnxlite has a kernel for exactly the ops that the converters

@@ -374,3 +374,38 @@ class TestGatherConstraints:
             Filter(Scan("t"), Cmp("=", Col("a"), Lit(1))), fn=lambda p: p
         )
         assert gather_constraints(plan) == {}
+
+
+class TestJoinOneToOne:
+    """Both analyzers decide ``fk_one_to_one`` by one rule: the key is
+    unique in a base table on each side. ``k`` is unique in ``b`` only,
+    and ``a`` holds a ``k`` that ``b`` lacks, so dropping the join would
+    keep a row the join removes."""
+
+    @pytest.fixture(scope="class")
+    def ab(self):
+        catalog = Catalog().add_table("a", ["k", "x"]).add_table("b", ["k", "y"], {"k"})
+        a = pd.DataFrame({"k": [1, 2, 3, 3], "x": [10, 20, 30, 31]})
+        b = pd.DataFrame({"k": [1, 2], "y": [0.1, 0.2]})
+        return catalog, a, b
+
+    def test_analyzers_agree(self, ab):
+        from repro.analyzer import analyze_script, parse_inference_query
+
+        catalog = ab[0]
+        sql = parse_inference_query("SELECT x FROM a JOIN b ON k = k", catalog, {})
+        script = analyze_script('df = a.merge(b, on="k")\n', catalog, {}).plans[0]
+        joins = [n for p in (sql, script) for n in walk(p) if isinstance(n, Join)]
+        assert [j.fk_one_to_one for j in joins] == [False, False]
+
+    def test_optimized_sql_keeps_the_rows(self, spark, ab):
+        from repro.analyzer import parse_inference_query
+
+        catalog, a, b = ab
+        plan = parse_inference_query("SELECT x FROM a JOIN b ON k = k", catalog, {})
+        out = CrossOptimizer(default_rules()).optimize(plan, catalog).plan
+        tables = {"a": spark.createDataFrame(a), "b": spark.createDataFrame(b)}
+        got = to_dataframe(out, spark, tables).toPandas()
+        expected = to_dataframe(plan, spark, tables).toPandas()
+        assert sorted(expected["x"]) == [10, 20]
+        pd.testing.assert_frame_equal(_canon(got), _canon(expected), check_dtype=False)

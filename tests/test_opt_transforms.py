@@ -206,7 +206,7 @@ class TestModelClustering:
     def test_clustered_predictions_match_original(self, lr_pipe, fl):
         cm = compile_clustered(lr_pipe, fl.head(3000), k=4, cluster_col="dest", seed=0)
         np.testing.assert_allclose(
-            cm.predict_proba1(fl), lr_pipe.predict_proba(fl)[:, 1], atol=1e-10
+            cm.predict(fl, "proba"), lr_pipe.predict_proba(fl)[:, 1], atol=1e-10
         )
 
     def test_cluster_models_have_fewer_features(self, lr_pipe, fl):
@@ -241,6 +241,22 @@ class TestModelClustering:
         np.testing.assert_allclose(
             cnode.predict_pandas(fl), lr_pipe.predict_proba(fl)[:, 1], atol=1e-10
         )
+
+    @pytest.mark.parametrize("kind", ["label", "proba", "score"])
+    def test_unseen_or_null_cluster_value(self, lr_pipe, fl, kind):
+        """Rows whose cluster column is unseen or NULL route to no
+        cluster; they score with the full model, as ``pipeline_output``
+        does."""
+        cm = compile_clustered(lr_pipe, fl.head(3000), k=4, cluster_col="dest", seed=0)
+        data = fl.head(400).copy()
+        data.loc[::3, "dest"] = "ZZZ"
+        data.loc[1::5, "dest"] = None
+        data.loc[2::7, "origin"] = None
+        unrouted = data["dest"].isna() | (data["dest"] == "ZZZ")
+        assert np.array_equal(cm.router(data) == -1, unrouted.to_numpy())
+        node = MLPredict(Scan("t"), "m", lr_pipe, "p", kind=kind)
+        got = to_clustered_predict(node, cm).predict_pandas(data)
+        np.testing.assert_allclose(got, pipeline_output(lr_pipe, data, kind), rtol=0, atol=1e-12)
 
     def test_unknown_kind_raises_like_mlpredict(self, lr_pipe, fl):
         cm = compile_clustered(lr_pipe, fl.head(3000), k=2, cluster_col="dest")

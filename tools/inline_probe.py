@@ -73,7 +73,8 @@ def linear_case_sql(pipe) -> str:
     categorical ones as CASE terms."""
     import numpy as np
 
-    from repro.optimizer.inlining import _fmt, _key, linear_to_sql
+    from repro.ir.expr import sql_double
+    from repro.optimizer.inlining import _key, linear_to_sql
 
     specs = pipe.featurizer.feature_specs
     is_cat = np.array([s[0] == "cat" for s in specs])
@@ -82,7 +83,7 @@ def linear_case_sql(pipe) -> str:
     terms = [linear_to_sql(numeric, pipe.featurizer, kind="score")]
     for spec, w in zip(specs, pipe.model.coef_):
         if spec[0] == "cat" and w != 0.0:
-            terms.append(f"(CASE WHEN {spec[1]} = {_key(spec[2])} THEN {_fmt(w)} "
+            terms.append(f"(CASE WHEN {spec[1]} = {_key(spec[2])} THEN {sql_double(w)} "
                          "ELSE 0.0E0 END)")
     return f"(1.0E0 / (1.0E0 + EXP(-({' + '.join(terms)}))))"
 
@@ -92,15 +93,16 @@ def forest_sql(forest, feat) -> str:
     expressions, each tree's features mapped back to the full set."""
     import numpy as np
 
+    from repro.ir.expr import sql_double
     from repro.miniml.tree import LEAF
-    from repro.optimizer.inlining import _fmt, tree_to_sql
+    from repro.optimizer.inlining import tree_to_sql
 
     parts = []
     for tree, cols in zip(forest.trees, forest.feature_subsets):
         t = copy.copy(tree)
         t.feature = np.array([cols[f] if f != LEAF else LEAF for f in tree.feature])
         parts.append(f"({tree_to_sql(t, feat, kind='proba')})")
-    return f"(({' + '.join(parts)}) / {_fmt(len(parts))})"
+    return f"(({' + '.join(parts)}) / {sql_double(len(parts))})"
 
 
 def sub_forest(pipe, k: int):
