@@ -11,12 +11,12 @@ Rule inventory (module → paper optimization):
   features are dropped from model *and* data plan (§4.1).
 * ``clustering`` — model clustering: per-cluster precompiled models
   behind a cheap router (§4.1).
-* ``inlining`` — model inlining: the SQL translators for trees and
-  linear models (§4.2), and ``predict_sql``, the one decision of a
-  predict's physical form. Not a rule: ``runtime.codegen`` runs every
-  predict with an SQL form as SQL.
+* ``inlining`` — model inlining: the SQL translators for trees,
+  forests and linear models (§4.2), and ``predict_sql``, the one
+  decision of a predict's physical form. Not a rule: ``runtime.codegen``
+  runs every predict with an SQL form as SQL.
 * ``nn_translate`` — NN translation: classical pipelines with no SQL
-  form become onnxlite graphs (§4.2).
+  form (MLPs) become onnxlite graphs (§4.2).
 * ``splitting`` — model/query splitting: a tree's root split becomes a
   UNION of two cheaper inference branches (§2).
 

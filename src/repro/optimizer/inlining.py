@@ -10,7 +10,12 @@ this form; codegen and the NN translation rule both ask it.
   whose scaled value is at most the threshold, so the generated SQL
   reads raw columns and routes every row as miniml does. A NULL fails
   every ``<=`` and takes the ELSE (right) branch, as NaN does in
-  ``DecisionTree.apply``.
+  ``DecisionTree.apply``. A split on a one-hot feature becomes
+  ``col IS DISTINCT FROM cat``, which a NULL or unseen category passes
+  (left), as its all-zero one-hot row does.
+* Random forests become the sum of their members' CASE expressions in
+  tree order over ``n_trees``: the same double arithmetic as
+  ``RandomForest``, so the outputs are identical.
 * Linear/logistic models become an arithmetic expression. Each one-hot
   block becomes one map lookup, ``coalesce(element_at(map_from_arrays(
   keys, weights), col), 0)``: an unseen or NULL category gathers 0, as
@@ -27,6 +32,7 @@ import numpy as np
 
 from repro.ir.expr import sql_double
 from repro.ir.ops import MLPredict
+from repro.miniml.forest import RandomForest, member_values, tree_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
@@ -42,29 +48,76 @@ def _key(v) -> str:
     return sql_double(v)
 
 
-def tree_to_sql(tree: DecisionTree, feat, kind: str = "label") -> str:
-    """Nested CASE WHEN expression computing the tree's prediction."""
-    if kind not in ("label", "proba"):
-        raise ValueError(f"a tree has no {kind!r} output")
+def _split_sql(feat, spec: tuple, feature_idx: int, t: float) -> str:
+    """The condition that sends a row left at split ``z <= t``. A
+    numeric feature reads its raw column through ``raw_split``. A
+    one-hot feature *(col, cat)* is 1 exactly when ``col`` equals
+    ``cat``, so for ``0 <= t < 1`` a row goes left when ``col IS
+    DISTINCT FROM cat``: a NULL or unseen category, whose one-hot row
+    is all zeros, goes left too."""
+    if spec[0] == "num":
+        col, x = feat.raw_split(feature_idx, t)
+        return f"{col} <= {sql_double(x)}"
+    if t >= 1.0:
+        return "TRUE"
+    if t < 0.0:
+        return "FALSE"
+    return f"{spec[1]} IS DISTINCT FROM {_key(spec[2])}"
 
-    def leaf_sql(i: int) -> str:
-        if tree.task == "classification":
-            if kind == "proba":
-                return sql_double(tree.value[i, 1])
-            cls = tree.classes_[int(np.argmax(tree.value[i]))]
-            return sql_double(float(cls))
-        return sql_double(tree.value[i, 0])
 
-    def rec(i: int) -> str:
-        if tree.feature[i] == LEAF:
-            return leaf_sql(i)
-        col, t = feat.raw_split(int(tree.feature[i]), float(tree.threshold[i]))
-        return (
-            f"CASE WHEN {col} <= {sql_double(t)} THEN {rec(int(tree.left[i]))} "
-            f"ELSE {rec(int(tree.right[i]))} END"
-        )
+def tree_to_sql(model: DecisionTree | RandomForest, feat, kind: str = "label") -> str:
+    """The ``kind`` output of a tree or forest as nested CASE WHEN
+    expressions over raw columns, one per member tree. A forest's
+    output is the sum of its members' values in tree order divided by
+    ``n_trees``, as ``RandomForest`` computes it, so the SQL is exact:
+    ``proba`` reads column 1 of that mean, a regression ``label``
+    column 0, and a binary classifier's ``label`` compares the two
+    class means, the first class winning a tie as ``argmax`` does. A
+    tree's classifier ``label`` is one class literal per leaf. Raises
+    ValueError for an output with no such form (``score``, ``proba`` of
+    a regressor, ``label`` of a forest over more than two classes)."""
+    classify = model.task == "classification"
+    if kind not in ("label", "proba") or (
+            kind == "proba" and not (classify and len(model.classes_) > 1)):
+        raise ValueError(f"this {model.task} model has no {kind!r} SQL form")
+    specs = feat.feature_specs
+    members = tree_members(model)
 
-    return rec(0)
+    def case(tree: DecisionTree, cols, leaf) -> str:
+        def rec(i: int) -> str:
+            if tree.feature[i] == LEAF:
+                return leaf(i)
+            f = int(cols[tree.feature[i]])
+            cond = _split_sql(feat, specs[f], f, float(tree.threshold[i]))
+            return (f"CASE WHEN {cond} THEN {rec(int(tree.left[i]))} "
+                    f"ELSE {rec(int(tree.right[i]))} END")
+
+        return rec(0)
+
+    if isinstance(model, DecisionTree):
+        ((tree, cols),) = members
+        if classify and kind == "label":
+            return case(tree, cols, lambda i: sql_double(
+                float(tree.classes_[int(np.argmax(tree.value[i]))])))
+        j = 1 if kind == "proba" else 0
+        return case(tree, cols, lambda i: sql_double(tree.value[i, j]))
+
+    values = member_values(model)
+
+    def mean(j: int) -> str:
+        total = " + ".join(
+            case(tree, cols, lambda i, v=v: sql_double(v[i, j]))
+            for (tree, cols), v in zip(members, values))
+        return f"(({total}) / {sql_double(model.n_trees)})"
+
+    if kind == "proba":
+        return mean(1)
+    if not classify:
+        return mean(0)
+    if len(model.classes_) != 2:
+        raise ValueError("a forest label over more than two classes has no SQL form")
+    c0, c1 = (sql_double(float(c)) for c in model.classes_)
+    return f"(CASE WHEN {mean(1)} > {mean(0)} THEN {c1} ELSE {c0} END)"
 
 
 def linear_to_sql(model, feat, kind: str = "score") -> str:
@@ -104,10 +157,10 @@ def linear_to_sql(model, feat, kind: str = "score") -> str:
 
 def inline_pipeline_sql(pipe: Pipeline, kind: str) -> str:
     """The pipeline's ``kind`` output as one SQL expression. Raises
-    TypeError for a model with no SQL form, and ValueError for a tree
-    that splits on a one-hot feature."""
+    TypeError for a model with no SQL form, and ValueError for an
+    output that has none (see ``tree_to_sql``)."""
     model = pipe.model
-    if isinstance(model, DecisionTree):
+    if isinstance(model, (DecisionTree, RandomForest)):
         return tree_to_sql(model, pipe.featurizer, kind=kind)
     if isinstance(model, (LogisticRegressionL1, LinearRegression)):
         k = "score" if isinstance(model, LinearRegression) else kind
@@ -115,22 +168,38 @@ def inline_pipeline_sql(pipe: Pipeline, kind: str) -> str:
     raise TypeError(f"cannot inline {type(model).__name__}")
 
 
+# The largest inlined tree or forest, in CASE nodes, that still beats
+# both Python-wave forms (the miniml pipeline and its graph): in
+# ``results/inline_probe.out`` the 50-tree hospital forest (787 nodes)
+# is the largest that wins with every smaller one winning too; the
+# 60-tree one (947) loses to the pipeline, and the larger forests lose
+# to both.
+MAX_CASE_NODES = 787
+
+
 def predict_sql(node) -> str | None:
     """The SQL form of ``node``, or None when it has none: the one place
-    that decides a predict's physical form. An ``MLPredict`` of a tree
-    (numeric splits only) or of a linear or logistic model has one, so
-    codegen selects it over the child and ``NNTranslation`` leaves it
-    alone; forests, MLPs, trees with a one-hot split, graphs and
-    clustered models have none and run in one ``mapInPandas`` wave.
+    that decides a predict's physical form. An ``MLPredict`` of a tree,
+    a forest, or a linear or logistic model has one, so codegen selects
+    it over the child and ``NNTranslation`` leaves it alone; MLPs,
+    graphs, clustered models, multi-class forest labels and trees or
+    forests of more than ``MAX_CASE_NODES`` CASE nodes have none and run
+    in one ``mapInPandas`` wave.
 
     ``tools/inline_probe.py`` measured the forms (250K rows, ``local[4]``
-    on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined): the
-    Fig. 1 depth-6 tree 0.84 / 0.91 / 0.30 s, the flights LR 0.86 /
-    0.86 / 0.34 s. The graph pays the same Python wave as the pipeline,
-    so a model with an SQL form runs as SQL."""
+    on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined with
+    ``Raven``'s huge-method limit of 8000): the Fig. 1 depth-6 tree
+    0.63 / 0.58 / 0.23 s, the flights LR 0.57 / 0.50 / 0.23 s,
+    ``delay_rf`` (217 CASE nodes, one-hot splits) 1.15 / 0.86 / 0.31 s,
+    a 30-tree hospital forest (474) 0.80 / 0.97 / 0.46 s. At Spark's
+    default limit the last two take 1.13 and 1.32 s inlined: generated
+    code over HotSpot's 8000-byte JIT limit runs interpreted. Past
+    ``MAX_CASE_NODES`` the limit no longer helps: the 60-tree forest
+    (947) takes 0.94 / 1.47 / 1.25 s, and 1.25 s at the default too."""
     if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
         return None
     try:
-        return inline_pipeline_sql(node.pipeline, node.kind)
+        sql = inline_pipeline_sql(node.pipeline, node.kind)
     except (TypeError, ValueError):
         return None
+    return sql if sql.count("CASE WHEN") <= MAX_CASE_NODES else None

@@ -1,16 +1,18 @@
 """NN translation rule (§4.2): swap MLPredict (classical MLD operator)
 for NNPredict (an onnxlite LA graph). The graph runs batched tensor
-ops (one traversal over all trees of a forest, gathers and matmuls for
-MLPs) — the executor can then choose the NN engine for this operator,
+ops (gathers and matmuls for MLPs, one traversal over all trees of a
+forest) — the executor can then choose the NN engine for this operator,
 as Raven's runtime selection does.
 
 Model inlining (ML→SQL) and NN translation are alternative physical
 forms of one predict, and ``inlining.predict_sql`` picks between them:
-the rule translates only a predict with no SQL form (forests, MLPs,
-trees with a one-hot split). A numeric-split tree or a linear or
-logistic model stays an ``MLPredict``, which codegen runs as a Catalyst
-expression with no Python task; as a graph it would pay a
-``mapInPandas`` wave (see ``predict_sql`` for the measurements)."""
+the rule translates only a predict with no SQL form, which among the
+miniml pipelines leaves MLPs. Trees, forests and linear or logistic
+models stay ``MLPredict``s, which codegen runs as Catalyst expressions
+with no Python task; as graphs they would pay a ``mapInPandas`` wave
+(see ``predict_sql`` for the measurements). ``translate_predict``
+still compiles any tree, forest, linear or MLP pipeline, for callers
+that want the graph form itself."""
 from __future__ import annotations
 
 from repro.ir import PlanNode

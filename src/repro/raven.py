@@ -15,6 +15,14 @@ from repro.ir.plan import Catalog
 from repro.optimizer import CrossOptimizer, OptimizationReport
 from repro.runtime.codegen import to_dataframe
 
+# Whole-stage codegen keeps a generated method up to this many bytes of
+# bytecode. Spark's default, 65535, keeps methods that HotSpot will not
+# JIT (over 8000 bytes, ``DontCompileHugeMethods``), so a large inlined
+# forest runs interpreted; at 8000 Spark falls back for that stage only.
+HUGE_METHOD_LIMIT = "spark.sql.codegen.hugeMethodLimit"
+SPARK_DEFAULT_HUGE_METHOD_LIMIT = "65535"
+JIT_HUGE_METHOD_LIMIT = "8000"
+
 
 @dataclass
 class Raven:
@@ -26,6 +34,14 @@ class Raven:
     tables: dict[str, DataFrame]
     models: dict[str, tuple] = field(default_factory=dict)  # name -> (pipeline, kind)
     optimizer: CrossOptimizer = field(default_factory=CrossOptimizer)
+
+    def __post_init__(self) -> None:
+        """Lower the session's huge-method limit to what HotSpot JITs,
+        unless someone has already set it. The setting is session-wide:
+        it applies to every query on ``spark``, not only Raven's."""
+        conf = self.spark.conf
+        if conf.get(HUGE_METHOD_LIMIT) == SPARK_DEFAULT_HUGE_METHOD_LIMIT:
+            conf.set(HUGE_METHOD_LIMIT, JIT_HUGE_METHOD_LIMIT)
 
     def register_model(self, name: str, pipeline, kind: str = "label") -> None:
         self.models[name] = (pipeline, kind)

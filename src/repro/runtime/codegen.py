@@ -7,11 +7,11 @@ role). Each predict runs in the physical form that
 ``optimizer.inlining.predict_sql`` picks, by model type; it is the one
 decision point, and ``NNTranslation`` asks it too:
 
-* An ``MLPredict`` of a decision tree (numeric splits) or of a linear
-  or logistic model has an SQL form (§4.2): a select of its SQL
+* An ``MLPredict`` of a decision tree, a random forest, or a linear or
+  logistic model has an SQL form (§4.2): a select of its SQL
   expression over the child. Catalyst compiles it into the scan's
   stage; no Python task, no Arrow round trip.
-* Every other predict — forests, MLPs, ``NNPredict`` graphs,
+* Every other predict — MLPs, ``NNPredict`` graphs,
   ``ClusteredPredict`` — becomes one ``mapInPandas`` whose batches are
   scored by the node's own ``predict_pandas``: the
   DataFrame→DataFrame physical-operator pattern (a true JVM operator is
@@ -23,12 +23,12 @@ on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined): the
 Fig. 1 depth-6 tree 0.84 / 0.91 / 0.30 s; the flights LR with 204
 one-hot weights 0.86 / 0.86 / 0.34 s as map lookups (4.34 s as a CASE
 term per weight). A graph pays the same Python wave as the pipeline it
-was translated from, so it never beats an SQL form. Trees of depth
-8-12 take 0.82-0.85 s in Python and 0.72-0.74 s inlined. Hospital
-forests of 5-6 depth-6 trees inline in 0.26-0.28 s, but from 7 trees
-(110 CASE nodes) up the inlined form takes 0.78-0.95 s, barely better
-than Python's 0.82-1.04 s, so forests stay in Python until a cost
-model can tell the two apart.
+was translated from, so it never beats an SQL form. Large CASE
+expressions (deep trees, forests of 7 trees and up) are only fast once
+``Raven`` lowers ``spark.sql.codegen.hugeMethodLimit`` to 8000: at
+Spark's default, whole-stage codegen keeps a method HotSpot will not
+JIT, and the inlined forest runs barely faster than Python (see
+``optimizer.inlining.predict_sql``).
 
 Every Python task pays a fixed start-up, almost all of it in pyspark's
 per-task ``importlib.invalidate_caches()``. On ``local[4]`` (4-vCPU

@@ -73,6 +73,18 @@ class TestT5:
         assert r["ort_s"] > 0 and r["raven_s"] > 0 and r["raven_ext_s"] > 0
         assert r["ort_warm_s"] <= r["ort_s"] * 1.5  # warm never much slower
 
+    def test_raven_runs_the_forest_graph(self, spark):
+        """The Raven column scores the same onnxlite graph ORT does, in
+        one ``mapInPandas``, although the forest has an SQL form."""
+        from repro.datasets import flights
+        from repro.experiments.common import flights_forest_pipeline
+
+        pipe = flights_forest_pipeline(n_train=2_000, seed=0, n_trees=3, max_depth=3)
+        out = t5.raven_predict(spark, spark.createDataFrame(flights.frame(100, seed=1)),
+                               "rf", pipe)
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        assert plan.count("MapInPandas") == 1
+
 
 class TestT6:
     def test_tree_rows(self):

@@ -1,7 +1,7 @@
 """Model inlining: generated SQL CASE/arithmetic expressions must equal
 the python model's predictions — verified through DuckDB (oracle) where
 it has the SQL functions, and row for row on Spark — and codegen runs
-exactly the trees and linear models in that form."""
+exactly the trees, forests and linear models in that form."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -18,12 +18,16 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
+from repro.miniml.forest import tree_members, with_members
 from repro.optimizer.inlining import (
+    MAX_CASE_NODES,
     inline_pipeline_sql,
     linear_to_sql,
+    predict_sql,
     tree_to_sql,
 )
 from repro.optimizer.splitting import split_predict
+from repro.oracle import assert_equivalent
 from repro.runtime.codegen import map_in_pandas, to_dataframe
 
 
@@ -123,20 +127,85 @@ class TestTreeToSql:
         root_left = pipe.featurizer.transform(data)[:, tree.feature[0]] <= tree.threshold[0]
         np.testing.assert_array_equal(in_left, root_left)
 
-    def test_categorical_split_raises(self, hosp):
-        df = hosp.assign(city=np.where(hosp["age"] > 50, "NYC", "SEA"))
+    def test_onehot_split_sql(self):
+        """A split on one-hot feature (col, cat) at 0 <= t < 1 sends a
+        row left when ``col IS DISTINCT FROM cat``, so a NULL or unseen
+        category goes left with its all-zero one-hot row; t >= 1 always
+        goes left and t < 0 always right."""
+        rng = np.random.default_rng(5)
+        df = pd.DataFrame({"city": rng.choice(["NYC", "SEA", "SFO"], 400)})
         pipe = Pipeline(
-            TableFeaturizer(numeric_cols=["age"], categorical_cols=["city"]),
-            DecisionTree(max_depth=3, min_samples_leaf=5),
-        ).fit(df, (df["los"] > 5).astype(int).to_numpy())
-        tree = pipe.model
-        if any(
-            pipe.featurizer.feature_specs[int(f)][0] == "cat"
-            for f in tree.feature
-            if f != -1
-        ):
-            with pytest.raises(ValueError, match="categorical"):
-                tree_to_sql(tree, pipe.featurizer)
+            TableFeaturizer(categorical_cols=["city"]), DecisionTree(max_depth=1),
+        ).fit(df, (df["city"] == "SEA").astype(int).to_numpy())
+        sql = tree_to_sql(pipe.model, pipe.featurizer, kind="proba")
+        assert sql.startswith("CASE WHEN city IS DISTINCT FROM 'SEA' THEN ")
+        score = pd.DataFrame({"city": ["NYC", "SEA", "SFO", None, "LAX"]})
+        np.testing.assert_array_equal(_duck_eval(sql, score),
+                                      pipeline_output(pipe, score, "proba"))
+        for t, cond in [(1.0, "TRUE"), (-0.5, "FALSE")]:
+            pipe.model.threshold[0] = t
+            sql = tree_to_sql(pipe.model, pipe.featurizer, kind="proba")
+            assert sql.startswith(f"CASE WHEN {cond} THEN ")
+            np.testing.assert_array_equal(_duck_eval(sql, score),
+                                          pipeline_output(pipe, score, "proba"))
+
+    def test_forest_matches_duckdb(self, hosp, spark):
+        """A forest's SQL has no map lookups, so DuckDB runs it: the mean
+        of its members' CASE expressions, in every output it has, equal
+        to the pipeline's and to Spark's."""
+        y = (hosp["los"] > 7).astype(int).to_numpy()
+        cls = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES),
+            RandomForest(n_trees=5, max_depth=4, max_features=0.6, seed=2),
+        ).fit(hosp, y)
+        reg = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES),
+            RandomForest(n_trees=4, task="regression", max_depth=4, seed=2),
+        ).fit(hosp, hosp["los"].to_numpy())
+        sdf = spark.createDataFrame(hosp)
+        for pipe, kind in [(cls, "proba"), (cls, "label"), (reg, "label")]:
+            sql = inline_pipeline_sql(pipe, kind)
+            np.testing.assert_array_equal(_duck_eval(sql, hosp),
+                                          pipeline_output(pipe, hosp, kind))
+            assert_equivalent(sdf.selectExpr("pid", f"{sql} AS p"),
+                              f"SELECT pid, {sql} AS p FROM t", t=hosp)
+
+    def test_forest_past_size_cap_has_no_sql_form(self, hosp):
+        """``predict_sql`` gives no SQL form to a forest of more than
+        ``MAX_CASE_NODES`` CASE nodes, which runs faster in Python."""
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES),
+            RandomForest(n_trees=2, max_depth=6, min_samples_leaf=5, seed=0),
+        ).fit(hosp, (hosp["los"] > 7).astype(int).to_numpy())
+        node = MLPredict(Scan("t"), "m", pipe, "p", kind="proba")
+        assert predict_sql(node) is not None
+        per_copy = predict_sql(node).count("CASE WHEN")
+        forest = pipe.model
+        copies = MAX_CASE_NODES // per_copy + 1
+        big = with_members(forest, forest.trees * copies, forest.feature_subsets * copies)
+        big.n_trees = len(big.trees)
+        node = MLPredict(Scan("t"), "m", Pipeline(pipe.featurizer, big), "p", kind="proba")
+        assert inline_pipeline_sql(node.pipeline, "proba").count("CASE WHEN") > MAX_CASE_NODES
+        assert predict_sql(node) is None
+
+    def test_forest_kinds_without_sql(self, hosp):
+        """A regressor has no ``proba``, a multi-class forest no SQL
+        ``label``; ``proba`` of any classifier reads class 1's mean."""
+        multi = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES),
+            RandomForest(n_trees=3, max_depth=3, seed=0),
+        ).fit(hosp, np.minimum(hosp["los"].to_numpy() // 4, 2).astype(int))
+        assert len(multi.model.classes_) == 3
+        with pytest.raises(ValueError):
+            inline_pipeline_sql(multi, "label")
+        np.testing.assert_array_equal(_duck_eval(inline_pipeline_sql(multi, "proba"), hosp),
+                                      pipeline_output(multi, hosp, "proba"))
+        reg = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES),
+            RandomForest(n_trees=2, task="regression", max_depth=3, seed=0),
+        ).fit(hosp, hosp["los"].to_numpy())
+        with pytest.raises(ValueError):
+            inline_pipeline_sql(reg, "proba")
 
 
 class TestLinearToSql:
@@ -217,14 +286,14 @@ class TestInliningRuleOnSpark:
         )
 
     def test_uninlinable_model_left_alone(self, spark):
-        """An MLP or a forest runs in one ``mapInPandas``; a tree in none."""
+        """An MLP runs in one ``mapInPandas``; a forest or a tree in none."""
         rng = np.random.default_rng(0)
         df = pd.DataFrame({"a": rng.random(300), "b": rng.random(300)})
         y = (df["a"] > 0.5).astype(int).to_numpy()
         tables = {"t": spark.createDataFrame(df)}
         for model, n in [
             (MLPClassifier(hidden=(4,), epochs=2), 1),
-            (RandomForest(n_trees=3, max_depth=3, seed=0), 1),
+            (RandomForest(n_trees=3, max_depth=3, seed=0), 0),
             (DecisionTree(max_depth=3), 0),
         ]:
             pipe = Pipeline(TableFeaturizer(numeric_cols=["a", "b"]), model).fit(df, y)
@@ -241,7 +310,8 @@ class TestNullAndUnseenOnSpark:
     """Every inlined form equals ``pipeline_output`` row for row on data
     with NULL numerics, NULL categories and categories unseen in
     training: a NULL split value goes right, a NULL or unseen category
-    gathers no weight, a NULL numeric makes a linear score NULL."""
+    goes left at a one-hot split and gathers no weight, a NULL numeric
+    makes a linear score NULL. Tree and forest forms are exact."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -265,14 +335,17 @@ class TestNullAndUnseenOnSpark:
         score.loc[3::13, "floor"] = 9  # unseen in training
         return train, y, score
 
-    def _check(self, spark, pipe, kind, score):
+    def _check(self, spark, pipe, kind, score, exact=False):
         node = MLPredict(Scan("t"), "m", pipe, "p", kind=kind)
         sdf = spark.createDataFrame(score.assign(_row=np.arange(len(score))))
         out = to_dataframe(node, spark, {"t": sdf})
         assert _map_in_pandas_count(out) == 0
         got = out.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
         ref = pipeline_output(pipe, score, kind)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        if exact:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [False, True])
     @pytest.mark.parametrize("kind", ["label", "proba"])
@@ -283,6 +356,48 @@ class TestNullAndUnseenOnSpark:
             DecisionTree(max_depth=5, min_samples_leaf=5),
         ).fit(train, y)
         self._check(spark, pipe, kind, score)
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("kind", ["label", "proba"])
+    def test_onehot_split_tree(self, spark, data, scale, kind):
+        train, y, score = data
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["ward", "floor"],
+                            scale=scale),
+            DecisionTree(max_depth=5, min_samples_leaf=5),
+        ).fit(train, y)
+        specs = pipe.featurizer.feature_specs
+        assert {specs[f][1] for f in pipe.model.feature if f != -1} >= {"age", "ward"}
+        self._check(spark, pipe, kind, score, exact=True)
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("kind", ["label", "proba"])
+    def test_forest(self, spark, data, scale, kind):
+        train, y, score = data
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["ward", "floor"],
+                            scale=scale),
+            RandomForest(n_trees=6, max_depth=5, min_samples_leaf=5, max_features=0.7, seed=1),
+        ).fit(train, y)
+        specs = pipe.featurizer.feature_specs
+        assert any(specs[cols[f]][0] == "cat" for tree, cols in tree_members(pipe.model)
+                   for f in tree.feature if f != -1)
+        self._check(spark, pipe, kind, score, exact=True)
+
+    @pytest.mark.parametrize("kind", ["label", "proba"])
+    def test_forest_member_missing_a_class(self, spark, data, kind):
+        """A member whose bootstrap sample holds one class reads 0 for
+        the other (``member_values``)."""
+        train, _, score = data
+        train = train.iloc[:40]
+        y = np.zeros(len(train), dtype=int)
+        y[[3, 17]] = 1
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["ward"]),
+            RandomForest(n_trees=8, max_depth=3, min_samples_leaf=1, seed=0),
+        ).fit(train, y)
+        assert any(len(t.classes_) == 1 for t in pipe.model.trees)
+        self._check(spark, pipe, kind, score, exact=True)
 
     @pytest.mark.parametrize("kind", ["score", "proba", "label"])
     def test_logistic_with_onehot_blocks(self, spark, data, kind):

@@ -84,7 +84,7 @@ class TestNNTranslation:
         y = (hosp["los"] > 7).astype(int).to_numpy()
         pipe = Pipeline(
             TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
-            RandomForest(n_trees=3, max_depth=3, seed=0),
+            MLPClassifier(hidden=(4,), epochs=2, seed=0),
         ).fit(hosp[hospital.FEATURES], y)
         catalog = Catalog().add_table("t", hospital.FEATURES, set())
         plan = MLPredict(Scan("t"), "m", pipe, "pred", kind="proba")
@@ -115,23 +115,26 @@ class TestNNTranslation:
                 assert out is plan and not changed
 
     def test_rule_translates_forms_without_sql(self, hosp):
-        """Forests, MLPs and trees with a one-hot split have no SQL form
-        and become graphs."""
+        """An MLP has no SQL form and becomes a graph; forests and trees
+        with a one-hot split have one and stay ``MLPredict``s."""
         rng = np.random.default_rng(0)
         df = pd.DataFrame({"a": rng.random(400), "ward": rng.choice(["x", "y", "z"], 400)})
         y = ((df["ward"] == "y") ^ (df["a"] > 0.5)).astype(int).to_numpy()
         feat = TableFeaturizer(numeric_cols=["a"], categorical_cols=["ward"])
         pipes = [
-            Pipeline(feat, RandomForest(n_trees=3, max_depth=3, seed=0)).fit(df, y),
-            Pipeline(feat, MLPClassifier(hidden=(4,), epochs=2, seed=0)).fit(df, y),
-            Pipeline(TableFeaturizer(categorical_cols=["ward"]),
-                     DecisionTree(max_depth=2)).fit(df, y),
+            (Pipeline(feat, RandomForest(n_trees=3, max_depth=3, seed=0)).fit(df, y), True),
+            (Pipeline(feat, MLPClassifier(hidden=(4,), epochs=2, seed=0)).fit(df, y), False),
+            (Pipeline(TableFeaturizer(categorical_cols=["ward"]),
+                      DecisionTree(max_depth=2)).fit(df, y), True),
         ]
         catalog = Catalog().add_table("t", ["a", "ward"], set())
-        for pipe in pipes:
+        for pipe, has_sql in pipes:
             plan = MLPredict(Scan("t"), "m", pipe, "pred", kind="proba")
-            assert predict_sql(plan) is None, type(pipe.model).__name__
+            assert (predict_sql(plan) is not None) == has_sql, type(pipe.model).__name__
             out, changed = NNTranslation().apply(plan, catalog)
+            if has_sql:
+                assert out is plan and not changed
+                continue
             assert changed and isinstance(out, NNPredict)
             np.testing.assert_allclose(out.predict_pandas(df), plan.predict_pandas(df),
                                        atol=1e-12)
@@ -148,9 +151,10 @@ class TestNNTranslation:
 
 class TestNNTranslationOnSpark:
     """``Raven.run`` under ``default_rules() + [NNTranslation()]``, the
-    ``flights-graph`` optimizer: the flights LR runs as SQL, the forest
-    as one graph wave, and both equal ``pipeline_output`` row for row on
-    data with NULL numerics, NULL categories and unseen categories."""
+    ``flights-graph`` optimizer: the flights LR and the forest both run
+    as SQL, with no Python wave, and equal ``pipeline_output`` row for
+    row on data with NULL numerics, NULL categories and unseen
+    categories."""
 
     @pytest.fixture(scope="class")
     def raven(self, spark):
@@ -181,7 +185,7 @@ class TestNNTranslationOnSpark:
         assert nulls == len(score[::42])
         return r, pipes, score
 
-    @pytest.mark.parametrize("model, waves", [("delay_lr", 0), ("delay_rf", 1)])
+    @pytest.mark.parametrize("model, waves", [("delay_lr", 0), ("delay_rf", 0)])
     def test_form_and_rows(self, raven, model, waves):
         r, pipes, score = raven
         df = r.run(f"SELECT flight_id, PREDICT(MODEL {model}) AS p FROM flights")

@@ -153,3 +153,21 @@ pred = los_model.predict(df)
         script = "df = patient_info.merge(blood_tests, on=\"pid\")\npred = los_model.predict(df)\n"
         times = [raven.analyze_python(script).elapsed_ms for _ in range(20)]
         assert sorted(times)[len(times) // 2] < 10.0
+
+
+def test_raven_lowers_huge_method_limit_only_from_default(spark):
+    """A Raven sets its session's whole-stage codegen method limit to
+    8000, the size HotSpot JITs, when it still holds Spark's default;
+    a value set on the session before stays."""
+    key = "spark.sql.codegen.hugeMethodLimit"
+    before = spark.conf.get(key)
+    try:
+        spark.conf.unset(key)
+        assert spark.conf.get(key) == "65535"
+        Raven(spark=spark, catalog=Catalog(), tables={})
+        assert spark.conf.get(key) == "8000"
+        spark.conf.set(key, "20000")
+        Raven(spark=spark, catalog=Catalog(), tables={})
+        assert spark.conf.get(key) == "20000"
+    finally:
+        spark.conf.set(key, before)

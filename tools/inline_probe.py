@@ -1,4 +1,5 @@
-"""Time each model form scored in Python and inlined as SQL on Spark.
+"""Time each model form scored in Python, as a graph, and inlined as
+SQL on Spark.
 
     python3 tools/inline_probe.py [--rows 250000] [--runs 5]
 
@@ -6,21 +7,33 @@ Spark runs on ``local[4]`` with a 2 GB driver, as ``perfbench`` does.
 Each input table is cached in 8 partitions. Every time is the median
 of ``--runs`` ``force`` runs after one warm-up. "python" is
 ``codegen.map_in_pandas``: one wave of Python tasks, the form codegen
-gives forests, MLPs and graphs. "graph" is the same wave scoring the
-model's onnxlite graph (``nn_translate.translate_predict``), the form
-``NNTranslation`` would give it; it is timed for the Fig. 1 depth-6
-tree and the flights LR, the two models that have both a graph and an
-SQL form in the benchmark. "inlined" is the model's SQL expression
-selected over the same cached table. The printed markdown table has
-one row per form:
+gives a predict with no SQL form. "graph" is the same wave scoring the
+model's onnxlite graph (``nn_translate.translate_predict``); it is
+timed for the Fig. 1 depth-6 tree, the flights LR and every forest.
+"inlined" is ``inline_pipeline_sql``'s expression selected over the
+same cached table, with ``spark.sql.codegen.hugeMethodLimit`` at 8000,
+the value ``Raven`` sets; "inlined_default" is the same at Spark's
+default, 65535, which keeps generated methods too large for HotSpot to
+JIT. The printed markdown table has one row per form:
 
 * the Fig. 1 depth-6 hospital regression tree, and the same tree
   trained to depth 8, 10 and 12;
 * the flights logistic regression of the ``flights-graph`` workload,
   with its one-hot blocks as one CASE term per category (``case``) and
   as one map lookup per column (``map``, what ``linear_to_sql`` emits);
-* depth-6 hospital forests of 5 to 10 trees (the first k trees of one
-  10-tree forest), inlined as the mean of their trees' CASE expressions.
+* depth-6 hospital forests of 5 to 60 trees (the first k trees of one
+  60-tree forest);
+* ``delay_rf``, the 10-tree depth-6 flights forest of the
+  ``flights-graph`` workload, trained as that workload trains it, whose
+  splits include one-hot features;
+* a 100-tree depth-10 hospital forest, and the first 10 trees of a
+  100-tree depth-10 flights forest. (All 100 of those flights trees,
+  9339 CASE nodes, exceed Janino's 64 KB method limit: every run spends
+  about a minute failing to compile, so the form is left out.)
+
+``optimizer.inlining.MAX_CASE_NODES`` is read off this table: the
+largest forest whose ``inlined_s`` beats both its ``python_s`` and its
+``graph_s``, with every smaller forest winning too.
 
 ``CASE nodes`` and ``maps`` count the expression's size. ``max_abs_diff``
 compares the inlined output with ``pipeline_output`` in the driver.
@@ -36,7 +49,6 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARTITIONS = 8
-GRAPH_FORMS = ("tree depth 6", "flights LR, map")
 
 
 def parse_args(argv):
@@ -88,23 +100,6 @@ def linear_case_sql(pipe) -> str:
     return f"(1.0E0 / (1.0E0 + EXP(-({' + '.join(terms)}))))"
 
 
-def forest_sql(forest, feat) -> str:
-    """P[class 1] of a binary forest: the mean of its trees' CASE
-    expressions, each tree's features mapped back to the full set."""
-    import numpy as np
-
-    from repro.ir.expr import sql_double
-    from repro.miniml.tree import LEAF
-    from repro.optimizer.inlining import tree_to_sql
-
-    parts = []
-    for tree, cols in zip(forest.trees, forest.feature_subsets):
-        t = copy.copy(tree)
-        t.feature = np.array([cols[f] if f != LEAF else LEAF for f in tree.feature])
-        parts.append(f"({tree_to_sql(t, feat, kind='proba')})")
-    return f"(({' + '.join(parts)}) / {sql_double(len(parts))})"
-
-
 def sub_forest(pipe, k: int):
     """The pipeline's first ``k`` trees as a forest of their own."""
     from repro.miniml import Pipeline
@@ -128,29 +123,41 @@ def median_s(df, runs: int) -> float:
 
 
 def probe(spark, forms, runs: int) -> list[dict]:
-    """``forms``: (name, cached table, pandas twin, pipeline, kind, SQL)."""
+    """``forms``: (name, cached table, pandas twin, pipeline, kind, SQL,
+    whether to time the graph)."""
     import numpy as np
     from pyspark.sql import functions as F
 
     from repro.ir import MLPredict, Scan
     from repro.ir.ops import pipeline_output
     from repro.optimizer.nn_translate import translate_predict
+    from repro.raven import (
+        HUGE_METHOD_LIMIT,
+        JIT_HUGE_METHOD_LIMIT,
+        SPARK_DEFAULT_HUGE_METHOD_LIMIT,
+    )
     from repro.runtime.codegen import map_in_pandas
 
+    def inlined_s(df, limit: str) -> float:
+        spark.conf.set(HUGE_METHOD_LIMIT, limit)
+        return median_s(df, runs)
+
     rows = []
-    for name, sdf, pdf, pipe, kind, sql in forms:
+    for name, sdf, pdf, pipe, kind, sql, graph in forms:
         node = MLPredict(Scan("t"), name, pipe, "p", kind=kind)
         inlined = sdf.select("_row", F.expr(sql).alias("p"))
+        spark.conf.set(HUGE_METHOD_LIMIT, JIT_HUGE_METHOD_LIMIT)
         got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
         diff = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
-        graph_s = ""
-        if name in GRAPH_FORMS:
-            graph_s = median_s(map_in_pandas(translate_predict(node), sdf), runs)
         rows.append({
             "form": name, "CASE nodes": sql.count("CASE WHEN"),
             "maps": sql.count("element_at"),
-            "python_s": median_s(map_in_pandas(node, sdf), runs), "graph_s": graph_s,
-            "inlined_s": median_s(inlined, runs), "max_abs_diff": diff,
+            "python_s": median_s(map_in_pandas(node, sdf), runs),
+            "graph_s": median_s(map_in_pandas(translate_predict(node), sdf), runs)
+            if graph else "",
+            "inlined_s": inlined_s(inlined, JIT_HUGE_METHOD_LIMIT),
+            "inlined_default_s": inlined_s(inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT),
+            "max_abs_diff": diff,
         })
         print(rows[-1], file=sys.stderr, flush=True)
     return rows
@@ -168,6 +175,7 @@ def main(argv=None) -> None:
         hospital_forest_pipeline,
         hospital_tree_pipeline,
     )
+    from repro.miniml import Pipeline, RandomForest, TableFeaturizer
     from repro.optimizer.inlining import inline_pipeline_sql
 
     def cached(pdf):
@@ -176,25 +184,44 @@ def main(argv=None) -> None:
         sdf.count()
         return sdf, pdf
 
+    def flights_forest(n_train: int, n_trees: int, max_depth: int):
+        df = flights.frame(n_train, seed=0)
+        return Pipeline(
+            TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
+            RandomForest(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=20,
+                         max_features=0.5),
+        ).fit(df, df["delayed"].to_numpy())
+
     hosp, hosp_pd = cached(hospital.joined_frame(args.rows, seed=1, with_label=False))
     fl, fl_pd = cached(flights.frame(args.rows, seed=1))
     forms = []
     for depth in (6, 8, 10, 12):
         pipe = hospital_tree_pipeline(n_train=20_000, seed=0, max_depth=depth)
         forms.append((f"tree depth {depth}", hosp, hosp_pd, pipe, "label",
-                      inline_pipeline_sql(pipe, "label")))
+                      inline_pipeline_sql(pipe, "label"), depth == 6))
     lr = flights_lr_pipeline(n_train=5_000, alpha=1e-5, seed=0)
-    forms.append(("flights LR, case", fl, fl_pd, lr, "proba", linear_case_sql(lr)))
-    forms.append(("flights LR, map", fl, fl_pd, lr, "proba", inline_pipeline_sql(lr, "proba")))
-    forest = hospital_forest_pipeline(n_train=20_000, seed=0, n_trees=10, max_depth=6)
-    for k in range(5, 11):
+    forms.append(("flights LR, case", fl, fl_pd, lr, "proba", linear_case_sql(lr), False))
+    forms.append(("flights LR, map", fl, fl_pd, lr, "proba", inline_pipeline_sql(lr, "proba"),
+                  True))
+    forest = hospital_forest_pipeline(n_train=20_000, seed=0, n_trees=60, max_depth=6)
+    for k in (5, 6, 7, 10, 20, 30, 40, 50, 60):
         pipe = sub_forest(forest, k)
         forms.append((f"forest {k} trees", hosp, hosp_pd, pipe, "proba",
-                      forest_sql(pipe.model, pipe.featurizer)))
+                      inline_pipeline_sql(pipe, "proba"), True))
+    delay_rf = flights_forest(2_000, n_trees=10, max_depth=6)
+    forms.append(("delay_rf", fl, fl_pd, delay_rf, "proba",
+                  inline_pipeline_sql(delay_rf, "proba"), True))
+    big = hospital_forest_pipeline(n_train=20_000, seed=0, n_trees=100, max_depth=10)
+    forms.append(("forest 100 trees depth 10", hosp, hosp_pd, big, "proba",
+                  inline_pipeline_sql(big, "proba"), True))
+    big = sub_forest(flights_forest(5_000, n_trees=100, max_depth=10), 10)
+    forms.append(("flights forest 10 trees depth 10", fl, fl_pd, big, "proba",
+                  inline_pipeline_sql(big, "proba"), True))
     n_weights = int(sum(w != 0 for s, w in zip(lr.featurizer.feature_specs, lr.model.coef_)
                         if s[0] == "cat"))
     print(f"## Inlined vs graph vs Python, {args.rows} rows, local[4], median of {args.runs} runs")
-    print(f"(flights LR: {n_weights} nonzero one-hot weights)\n")
+    print(f"(flights LR: {n_weights} nonzero one-hot weights; inlined_s at "
+          "hugeMethodLimit 8000, inlined_default_s at 65535)\n")
     print(fmt_table(probe(spark, forms, args.runs)))
     spark.stop()
 
