@@ -1,7 +1,7 @@
 """Raven's unified intermediate representation (§3).
 
-One DAG mixes relational-algebra operators (Scan/Filter/Project/Join/
-Union), ML operators and featurizers (MLPredict over a miniml pipeline,
+One DAG mixes relational-algebra operators (Scan/Filter/Project/Join),
+ML operators and featurizers (MLPredict over a miniml pipeline,
 NNPredict over an onnxlite graph, ClusteredPredict), and black-box UDF
 nodes — the four operator categories (RA / LA / MLD / UDF) of the
 paper.
@@ -12,7 +12,6 @@ from repro.ir.expr import (
     Col,
     Constraint,
     Expr,
-    IsNull,
     Lit,
     Not,
     Or,
@@ -30,15 +29,14 @@ from repro.ir.ops import (
     Project,
     Scan,
     UDFNode,
-    Union,
 )
 from repro.ir.plan import Catalog, count_nodes, output_columns, pretty, transform_bottom_up, walk
 
 __all__ = [
-    "Expr", "Col", "Lit", "Cmp", "And", "Or", "Not", "IsNull", "Constraint",
+    "Expr", "Col", "Lit", "Cmp", "And", "Or", "Not", "Constraint",
     "conjuncts", "column_constraints", "and_all",
     "Catalog", "output_columns", "count_nodes",
-    "PlanNode", "Scan", "Filter", "Project", "Join", "Union",
+    "PlanNode", "Scan", "Filter", "Project", "Join",
     "MLPredict", "NNPredict", "ClusteredPredict", "UDFNode",
     "walk", "transform_bottom_up", "pretty",
 ]

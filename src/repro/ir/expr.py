@@ -121,17 +121,6 @@ class Not(Expr):
         return f"(NOT {self.term.to_sql()})"
 
 
-@dataclass(repr=False)
-class IsNull(Expr):
-    term: Expr
-
-    def columns(self) -> set[str]:
-        return self.term.columns()
-
-    def to_sql(self) -> str:
-        return f"({self.term.to_sql()} IS NULL)"
-
-
 def conjuncts(e: Expr | None) -> list[Expr]:
     """Flatten nested ANDs into a conjunct list."""
     if e is None:

@@ -1,6 +1,6 @@
 """Operator nodes of the Raven IR.
 
-Relational nodes (Scan/Filter/Project/Join/Union) mirror a textbook
+Relational nodes (Scan/Filter/Project/Join) mirror a textbook
 logical plan. ML nodes carry the actual model artifacts so optimizer
 rules can rewrite them (prune a tree, slice a weight vector, fold a
 one-hot block): that is the whole point of a *unified* IR — the
@@ -114,16 +114,6 @@ class Join(PlanNode):
 
     def label(self) -> str:
         return f"Join({self.left_on}={self.right_on}{', 1:1' if self.fk_one_to_one else ''})"
-
-
-@dataclass(eq=False)
-class Union(PlanNode):
-    """Bag UNION ALL of same-schema children (model/query splitting)."""
-
-    children: list[PlanNode]
-
-    def label(self) -> str:
-        return f"Union({len(self.children)})"
 
 
 # Graph scoring runs in chunks of this many rows: forest graphs

@@ -13,7 +13,6 @@ from repro.ir.ops import (
     Project,
     Scan,
     UDFNode,
-    Union,
 )
 
 
@@ -80,8 +79,6 @@ def output_columns(node: PlanNode, catalog: Catalog) -> list[str]:
         if dup:
             raise ValueError(f"ambiguous join columns: {sorted(dup)}")
         return left + [c for c in right if c not in left]
-    if isinstance(node, Union):
-        return output_columns(node.children[0], catalog)
     if isinstance(node, PREDICTS):
         return output_columns(node.child, catalog) + [node.output_col]
     if isinstance(node, UDFNode):

@@ -216,15 +216,11 @@ class DecisionTree:
         return self._classes
 
     # ------------------------------------------------- structural utils
-    def subtree(self, root: int) -> "DecisionTree":
-        """Extract the subtree rooted at node ``root`` as a new tree."""
-        return self.rebuild(root, lambda i: None)
-
-    def rebuild(self, root: int, taken: Callable[[int], int | None]) -> "DecisionTree":
-        """Preorder copy of the subtree at ``root``. At a split ``i``
-        whose outcome is known, ``taken(i)`` returns the child every row
-        takes, and only that child is copied in its place; it returns
-        None where both children stay."""
+    def rebuild(self, taken: Callable[[int], int | None]) -> "DecisionTree":
+        """Preorder copy of the tree. At a split ``i`` whose outcome is
+        known, ``taken(i)`` returns the child every row takes, and only
+        that child is copied in its place; it returns None where both
+        children stay."""
         keep: list[int] = []
         left: list[int] = []
         right: list[int] = []
@@ -241,7 +237,7 @@ class DecisionTree:
                 right[nid] = visit(int(self.right[i]))
             return nid
 
-        visit(root)
+        visit(0)
         t = replace(self, feature=self.feature[keep], threshold=self.threshold[keep],
                     left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
                     value=self.value[keep])

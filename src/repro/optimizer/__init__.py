@@ -17,8 +17,11 @@ Rule inventory (module → paper optimization):
   runs every predict with an SQL form as SQL.
 * ``nn_translate`` — NN translation: classical pipelines with no SQL
   form (MLPs) become onnxlite graphs (§4.2).
-* ``splitting`` — model/query splitting: a tree's root split becomes a
-  UNION of two cheaper inference branches (§2).
+
+Model/query splitting (§2) is not a rule: with every tree under the
+``inlining.MAX_CASE_NODES`` cap inlined whole, a UNION of two split
+branches only scanned and joined the inputs twice, and it lost to the
+plain plan on every query measured (see DESIGN.md).
 
 ``rules.CrossOptimizer`` applies rules heuristically in a fixed order
 (the paper's "initial version will be heuristic-based, applying all

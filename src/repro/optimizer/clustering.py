@@ -15,7 +15,6 @@ Compile time (the paper reports it as negligible) and clustering time
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ import pandas as pd
 from repro.ir.ops import ClusteredPredict, model_output
 from repro.miniml.kmeans import KMeans
 from repro.miniml.pipeline import Pipeline
+from repro.optimizer.projection import drop_linear_features
 
 
 @dataclass
@@ -125,17 +125,10 @@ def compile_clustered(
             category_to_cluster[cat] = 0
 
     pipelines: list[Pipeline] = []
-    names = feat.feature_names
     for cid in range(max(k, 1)):
         present = {c for c, cl in category_to_cluster.items() if cl == cid}
         absent = {f"{cluster_col}={c}" for c in cats if c not in present}
-        if not absent:
-            pipelines.append(pipe)
-            continue
-        new_feat, keep = feat.drop_features(absent)
-        model = copy.deepcopy(pipe.model)
-        model.coef_ = pipe.model.coef_[keep]
-        pipelines.append(Pipeline(new_feat, model))
+        pipelines.append(drop_linear_features(pipe, absent) if absent else pipe)
     compile_seconds = time.perf_counter() - t1
     return ClusteredModel(
         cluster_col=cluster_col,

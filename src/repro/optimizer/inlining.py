@@ -30,22 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ir.expr import sql_double
+from repro.ir.expr import Lit, sql_double
 from repro.ir.ops import MLPredict
 from repro.miniml.forest import RandomForest, member_values, tree_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
-
-
-def _key(v) -> str:
-    """SQL literal of a category, typed like the column it was fitted
-    on: Spark's ``element_at`` needs the map key type to match."""
-    if isinstance(v, str):
-        return "'" + v.replace("'", "''") + "'"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return sql_double(v)
 
 
 def _split_sql(feat, spec: tuple, feature_idx: int, t: float) -> str:
@@ -62,7 +52,7 @@ def _split_sql(feat, spec: tuple, feature_idx: int, t: float) -> str:
         return "TRUE"
     if t < 0.0:
         return "FALSE"
-    return f"{spec[1]} IS DISTINCT FROM {_key(spec[2])}"
+    return f"{spec[1]} IS DISTINCT FROM {Lit(spec[2]).to_sql()}"
 
 
 def tree_to_sql(model: DecisionTree | RandomForest, feat, kind: str = "label") -> str:
@@ -139,7 +129,9 @@ def linear_to_sql(model, feat, kind: str = "score") -> str:
         else:
             blocks.setdefault(spec[1], []).append((spec[2], w))
     for col, entries in blocks.items():
-        keys = ", ".join(_key(cat) for cat, _ in entries)
+        # each key is typed like the column it was fitted on:
+        # Spark's ``element_at`` needs the map key type to match
+        keys = ", ".join(Lit(cat).to_sql() for cat, _ in entries)
         weights = ", ".join(sql_double(w) for _, w in entries)
         terms.append(
             f"coalesce(element_at(map_from_arrays(array({keys}), array({weights})), "
@@ -177,6 +169,17 @@ def inline_pipeline_sql(pipe: Pipeline, kind: str) -> str:
 MAX_CASE_NODES = 787
 
 
+def case_nodes(model: DecisionTree | RandomForest, kind: str) -> int:
+    """The number of CASE nodes in ``tree_to_sql(model, ..., kind)``,
+    counted off the model without rendering it: one per internal node
+    of every member tree, and a binary forest ``label`` renders the
+    class means twice under one more CASE."""
+    n = sum(int((tree.feature != LEAF).sum()) for tree, _ in tree_members(model))
+    if isinstance(model, RandomForest) and kind == "label" and model.task == "classification":
+        return 2 * n + 1
+    return n
+
+
 def predict_sql(node) -> str | None:
     """The SQL form of ``node``, or None when it has none: the one place
     that decides a predict's physical form. An ``MLPredict`` of a tree,
@@ -198,8 +201,11 @@ def predict_sql(node) -> str | None:
     (947) takes 0.94 / 1.47 / 1.25 s, and 1.25 s at the default too."""
     if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
         return None
+    model = node.pipeline.model
+    if (isinstance(model, (DecisionTree, RandomForest))
+            and case_nodes(model, node.kind) > MAX_CASE_NODES):
+        return None
     try:
-        sql = inline_pipeline_sql(node.pipeline, node.kind)
+        return inline_pipeline_sql(node.pipeline, node.kind)
     except (TypeError, ValueError):
         return None
-    return sql if sql.count("CASE WHEN") <= MAX_CASE_NODES else None

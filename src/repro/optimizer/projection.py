@@ -26,18 +26,22 @@ from repro.miniml.tree import LEAF, DecisionTree
 from repro.optimizer.rules import Rule
 
 
+def drop_linear_features(pipe: Pipeline, names: set[str]) -> Pipeline:
+    """A linear-model pipeline without the features in ``names``: the
+    featurizer drops them, and the model keeps the other weights."""
+    new_feat, keep = pipe.featurizer.drop_features(names)
+    model = copy.deepcopy(pipe.model)
+    model.coef_ = pipe.model.coef_[keep]
+    return Pipeline(new_feat, model)
+
+
 def shrink_linear(pipe: Pipeline) -> tuple[Pipeline, bool]:
     """Drop zero-weight features from a linear-model pipeline."""
-    model = pipe.model
-    zero = model.coef_ == 0.0
+    zero = pipe.model.coef_ == 0.0
     if not zero.any():
         return pipe, False
     names = pipe.featurizer.feature_names
-    dropped = {names[i] for i in np.nonzero(zero)[0]}
-    new_feat, keep = pipe.featurizer.drop_features(dropped)
-    new_model = copy.deepcopy(model)
-    new_model.coef_ = model.coef_[keep]
-    return Pipeline(new_feat, new_model), True
+    return drop_linear_features(pipe, {names[i] for i in np.nonzero(zero)[0]}), True
 
 
 def shrink_trees(pipe: Pipeline) -> tuple[Pipeline, bool]:

@@ -42,7 +42,7 @@ def prune_tree(tree: DecisionTree, constraints: dict[int, Constraint]) -> Decisi
             return tree.right[i]
         return None
 
-    return tree.rebuild(0, taken)
+    return tree.rebuild(taken)
 
 
 def _feature_constraints(pipe: Pipeline, col_constraints: dict) -> dict[int, Constraint]:

@@ -21,7 +21,6 @@ from repro.ir import (
     Project,
     Scan,
     UDFNode,
-    Union,
     and_all,
     column_constraints,
     conjuncts,
@@ -87,8 +86,6 @@ def _push_filter_once(f: Filter, catalog: Catalog) -> PlanNode:
         if child.output_col not in f.predicate.columns():
             return child.with_children([Filter(child.child, f.predicate)])
         return f
-    if isinstance(child, Union):
-        return Union([Filter(c, f.predicate) for c in child.children])
     return f
 
 
@@ -194,18 +191,6 @@ class PruneColumns(Rule):
             if isinstance(node, UDFNode):
                 # unknown column use: everything below stays required
                 return node.with_children([rewrite(node.child, None)])
-            if isinstance(node, Union):
-                branches = [rewrite(c, required) for c in node.children]
-                if required is not None:
-                    # a predict passes through every column of its input,
-                    # which pruning trims per branch: project each branch
-                    # to the same columns, so the UNION lines up
-                    cols = [c for c in output_columns(branches[0], catalog) if c in required]
-                    for i, b in enumerate(branches):
-                        if output_columns(b, catalog) != cols:
-                            branches[i] = Project(b, [(c, Col(c)) for c in cols])
-                            changed = True
-                return Union(branches)
             if isinstance(node, Join):
                 left_cols = set(output_columns(node.left, catalog))
                 right_cols = set(output_columns(node.right, catalog))
@@ -268,8 +253,5 @@ def gather_constraints(node: PlanNode) -> dict:
         return out
     if isinstance(node, PREDICTS):
         return gather_constraints(node.child)
-    if isinstance(node, UDFNode):
-        return {}  # UDF may rewrite anything: no guarantees survive
-    if isinstance(node, Union):
-        return {}  # would need per-branch intersection; stay sound
+    # a UDFNode may rewrite anything: no guarantees survive
     return {}

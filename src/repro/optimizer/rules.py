@@ -27,10 +27,6 @@ class Rule:
         out = transform_bottom_up(plan, lambda n: self.rewrite(n, catalog))
         return out, out is not plan
 
-    def reset(self) -> None:
-        """Forget state kept across sweeps; ``CrossOptimizer`` calls it
-        at the start of every ``optimize()``."""
-
 
 @dataclass
 class OptimizationReport:
@@ -51,8 +47,6 @@ class CrossOptimizer:
 
     def optimize(self, plan: PlanNode, catalog: Catalog) -> OptimizationReport:
         report = OptimizationReport(plan)
-        for rule in self.rules:
-            rule.reset()
         for it in range(self.max_iterations):
             any_change = False
             for rule in self.rules:

@@ -51,8 +51,6 @@ benchmark's dense flights LR: 4.5 KB, 0.04 ms vs 0.47 ms.
 """
 from __future__ import annotations
 
-from functools import reduce
-
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -66,7 +64,6 @@ from repro.ir import (
     Project,
     Scan,
     UDFNode,
-    Union,
 )
 from repro.ir.ops import PREDICTS
 from repro.optimizer.inlining import predict_sql
@@ -159,11 +156,6 @@ def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFram
             return left.join(right, on=plan.left_on, how=plan.how)
         cond = left[plan.left_on] == right[plan.right_on]
         return left.join(right, on=cond, how=plan.how).drop(right[plan.right_on])
-    if isinstance(plan, Union):
-        return reduce(
-            lambda a, b: a.unionByName(b),
-            (to_dataframe(c, spark, tables) for c in plan.children),
-        )
     if isinstance(plan, PREDICTS):
         return _predict_dataframe(plan, spark, tables)
     if isinstance(plan, UDFNode):

@@ -9,7 +9,6 @@ from repro.ir import (
     Cmp,
     Col,
     Filter,
-    IsNull,
     Join,
     Lit,
     MLPredict,
@@ -18,7 +17,6 @@ from repro.ir import (
     Project,
     Scan,
     UDFNode,
-    Union,
     and_all,
     column_constraints,
     conjuncts,
@@ -47,7 +45,6 @@ class TestExprSql:
                 "((x < 1) OR (x > 2))",
             ),
             (Cmp("=", Col("b"), Lit(True)), "(b = TRUE)"),
-            (IsNull(Col("x")), "(x IS NULL)"),
         ],
     )
     def test_to_sql(self, expr, sql):
@@ -193,11 +190,6 @@ class TestPlanUtils:
         s = pretty(_plan())
         assert "Join(pid=pid, 1:1)" in s
         assert "Filter((pregnant = 1))" in s
-
-    def test_union_output_columns(self):
-        cat = _catalog()
-        u = Union([Scan("blood_tests"), Scan("blood_tests")])
-        assert output_columns(u, cat) == ["pid", "bp"]
 
 
 class TestPredictNodes:

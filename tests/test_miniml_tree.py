@@ -116,24 +116,6 @@ class TestStructure:
         # binary tree: leaves = internal + 1
         assert t.n_leaves == n_internal + 1
 
-    def test_subtree_extraction(self):
-        X, y = _xor_data(400)
-        t = DecisionTree(max_depth=4, min_samples_leaf=5).fit(X, y)
-        assert t.feature[0] != -1
-        left = t.subtree(t.left[0])
-        f, thr = t.feature[0], t.threshold[0]
-        mask = X[:, f] <= thr
-        # rows that go left in the full tree get identical predictions
-        # from the extracted left subtree
-        assert np.array_equal(t.predict(X[mask]), left.predict(X[mask]))
-
-    def test_subtree_of_leaf(self):
-        X = np.random.default_rng(0).random((30, 2))
-        y = np.zeros(30, dtype=int)
-        t = DecisionTree().fit(X, y)
-        sub = t.subtree(0)
-        assert sub.n_nodes == 1
-
     def test_values_on_internal_nodes(self):
         X, y = _xor_data(400)
         t = DecisionTree(max_depth=3, min_samples_leaf=5).fit(X, y)

@@ -19,14 +19,15 @@ from repro.miniml import (
     TableFeaturizer,
 )
 from repro.miniml.forest import tree_members, with_members
+from repro.optimizer import inlining
 from repro.optimizer.inlining import (
     MAX_CASE_NODES,
+    case_nodes,
     inline_pipeline_sql,
     linear_to_sql,
     predict_sql,
     tree_to_sql,
 )
-from repro.optimizer.splitting import split_predict
 from repro.oracle import assert_equivalent
 from repro.runtime.codegen import map_in_pandas, to_dataframe
 
@@ -96,13 +97,12 @@ class TestTreeToSql:
         sql = tree_to_sql(pipe.model, pipe.featurizer, kind="label")
         np.testing.assert_allclose(_duck_eval(sql, hosp), pipe.predict(hosp))
 
-    def test_scaled_thresholds_map_exactly(self, spark):
+    def test_scaled_thresholds_map_exactly(self):
         """A split ``z <= t`` over a standardized feature reads its raw
         column as ``x <= x*``, ``x*`` the largest double whose scaled
         value is at most ``t``. ``t·scale + mean`` is off by an ulp for
-        some splits, and sends rows on that boundary the other way. Both
-        the inlined tree (in DuckDB) and model/query splitting's branch
-        filters (on Spark, which runs them) must route as miniml does."""
+        some splits, and sends rows on that boundary the other way; the
+        inlined tree (in DuckDB) must route as miniml does."""
         train = flights.frame(20_000, seed=0)
         pipe = Pipeline(
             TableFeaturizer(numeric_cols=flights.NUMERIC),
@@ -113,19 +113,6 @@ class TestTreeToSql:
             sql = tree_to_sql(pipe.model, pipe.featurizer, kind=kind)
             np.testing.assert_array_equal(_duck_eval(sql, data),
                                           pipeline_output(pipe, data, kind))
-
-        left, right = split_predict(MLPredict(Scan("t"), "m", pipe, "p")).children
-        branches = (
-            spark.createDataFrame(data)
-            .selectExpr("flight_id", f"{left.child.predicate.to_sql()} AS l",
-                        f"{right.child.predicate.to_sql()} AS r")
-            .orderBy("flight_id").toPandas()
-        )
-        in_left, in_right = branches["l"].to_numpy(bool), branches["r"].to_numpy(bool)
-        np.testing.assert_array_equal(in_left ^ in_right, True)
-        tree = pipe.model
-        root_left = pipe.featurizer.transform(data)[:, tree.feature[0]] <= tree.threshold[0]
-        np.testing.assert_array_equal(in_left, root_left)
 
     def test_onehot_split_sql(self):
         """A split on one-hot feature (col, cat) at 0 <= t < 1 sends a
@@ -187,6 +174,55 @@ class TestTreeToSql:
         node = MLPredict(Scan("t"), "m", Pipeline(pipe.featurizer, big), "p", kind="proba")
         assert inline_pipeline_sql(node.pipeline, "proba").count("CASE WHEN") > MAX_CASE_NODES
         assert predict_sql(node) is None
+
+    def test_case_nodes_match_rendered_sql(self, hosp):
+        """``case_nodes`` counts, off the model, the CASE nodes that
+        ``tree_to_sql`` renders, for every model and output kind."""
+        y = (hosp["los"] > 7).astype(int).to_numpy()
+        fl = flights.frame(2000, seed=0)
+        models = [
+            (Pipeline(TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
+                      DecisionTree(task="regression", max_depth=6, min_samples_leaf=20)
+                      ).fit(hosp, hosp["los"].to_numpy()), ["label"]),
+            (Pipeline(TableFeaturizer(numeric_cols=hospital.FEATURES),
+                      DecisionTree(max_depth=5)).fit(hosp, y), ["label", "proba"]),
+            (Pipeline(TableFeaturizer(numeric_cols=hospital.FEATURES),
+                      RandomForest(n_trees=3, task="regression", max_depth=4, seed=0)
+                      ).fit(hosp, hosp["los"].to_numpy()), ["label"]),
+            (Pipeline(TableFeaturizer(numeric_cols=hospital.FEATURES),
+                      RandomForest(n_trees=5, max_depth=5, seed=0)).fit(hosp, y),
+             ["label", "proba"]),
+            (Pipeline(TableFeaturizer(numeric_cols=flights.NUMERIC,
+                                      categorical_cols=flights.CATEGORICAL),
+                      RandomForest(n_trees=3, max_depth=6, min_samples_leaf=20,
+                                   max_features=0.5, seed=0)
+                      ).fit(fl, fl["delayed"].to_numpy()), ["label", "proba"]),
+        ]
+        for pipe, kinds in models:
+            for kind in kinds:
+                sql = inline_pipeline_sql(pipe, kind)
+                assert case_nodes(pipe.model, kind) == sql.count("CASE WHEN"), (pipe.model, kind)
+
+    def test_predict_past_cap_is_not_rendered(self, hosp, monkeypatch):
+        """``predict_sql`` decides the size cap from the model: a forest
+        past ``MAX_CASE_NODES`` gets no SQL form without being
+        translated."""
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=hospital.FEATURES),
+            RandomForest(n_trees=2, max_depth=6, min_samples_leaf=5, seed=0),
+        ).fit(hosp, (hosp["los"] > 7).astype(int).to_numpy())
+        forest = pipe.model
+        copies = MAX_CASE_NODES // case_nodes(forest, "proba") + 1
+        big = with_members(forest, forest.trees * copies, forest.feature_subsets * copies)
+        big.n_trees = len(big.trees)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("tree_to_sql called past the cap")
+
+        monkeypatch.setattr(inlining, "tree_to_sql", fail)
+        for kind in ("label", "proba"):
+            node = MLPredict(Scan("t"), "m", Pipeline(pipe.featurizer, big), "p", kind=kind)
+            assert predict_sql(node) is None
 
     def test_forest_kinds_without_sql(self, hosp):
         """A regressor has no ``proba``, a multi-class forest no SQL

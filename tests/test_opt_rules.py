@@ -1,7 +1,7 @@
 """The rule contract: ``Rule.apply`` drives a rule's node-local
 ``rewrite`` over the plan bottom-up and reports a change exactly when
 it returns a different root object. Checked for every default rule and
-for the rules tests and experiments wire by hand."""
+for ``NNTranslation``, which tests and experiments wire by hand."""
 import pytest
 
 from repro.analyzer import parse_inference_query
@@ -10,9 +10,8 @@ from repro.ir import Catalog, Col, Project, Scan
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
 from repro.optimizer import default_rules
 from repro.optimizer.nn_translate import NNTranslation
-from repro.optimizer.splitting import ModelQuerySplitting
 
-RULES = [type(r) for r in default_rules()] + [NNTranslation, ModelQuerySplitting]
+RULES = [type(r) for r in default_rules()] + [NNTranslation]
 
 FIG1 = (
     "SELECT pid, age, PREDICT(MODEL los_model) AS predicted_los "

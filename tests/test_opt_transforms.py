@@ -1,4 +1,4 @@
-"""NN translation, model clustering, and model/query splitting rules."""
+"""NN translation and model clustering."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,15 +6,9 @@ import pytest
 from repro.datasets import flights, hospital
 from repro.ir import (
     Catalog,
-    Cmp,
-    Col,
-    Filter,
-    Lit,
     MLPredict,
     NNPredict,
     Scan,
-    Union,
-    walk,
 )
 from repro.ir.ops import ClusteredPredict, pipeline_output
 from repro.miniml import (
@@ -29,9 +23,6 @@ from repro.optimizer import CrossOptimizer
 from repro.optimizer.clustering import compile_clustered, to_clustered_predict
 from repro.optimizer.inlining import predict_sql
 from repro.optimizer.nn_translate import NNTranslation, translate_predict
-from repro.optimizer.pruning import PredicateBasedModelPruning
-from repro.optimizer.splitting import ModelQuerySplitting, split_predict
-from repro.runtime.codegen import to_dataframe
 
 
 @pytest.fixture(scope="module")
@@ -269,97 +260,3 @@ class TestModelClustering:
             node.predict_pandas(fl.head(50))
         with pytest.raises(ValueError):
             to_clustered_predict(node, cm).predict_pandas(fl.head(50))
-
-
-class TestModelQuerySplitting:
-    @pytest.fixture(scope="class")
-    def tree_pipe(self, hosp):
-        return Pipeline(
-            TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False),
-            DecisionTree(task="regression", max_depth=5, min_samples_leaf=20),
-        ).fit(hosp[hospital.FEATURES], hosp["los"].to_numpy())
-
-    def test_split_produces_union_of_two(self, tree_pipe):
-        node = MLPredict(Scan("t"), "m", tree_pipe, "pred")
-        u = split_predict(node)
-        assert isinstance(u, Union)
-        assert len(u.children) == 2
-        for branch in u.children:
-            assert isinstance(branch, MLPredict)
-            assert isinstance(branch.child, Filter)
-
-    def test_split_semantics_union_covers_all_rows(self, tree_pipe, hosp):
-        node = MLPredict(Scan("t"), "m", tree_pipe, "pred")
-        u = split_predict(node)
-        left, right = u.children
-        lp = left.child.predicate
-        col = next(iter(lp.columns()))
-        thr = None
-        # evaluate each branch on its rows and compare with full model
-        import duckdb
-
-        con = duckdb.connect()
-        con.register("t", hosp)
-        lmask = con.execute(f"SELECT {lp.to_sql()} AS m FROM t").fetchdf()["m"].to_numpy()
-        con.close()
-        full = node.predict_pandas(hosp)
-        got = np.empty(len(hosp))
-        got[lmask] = left.predict_pandas(hosp[lmask])
-        got[~lmask] = right.predict_pandas(hosp[~lmask])
-        np.testing.assert_allclose(got, full)
-
-    def test_null_split_value_goes_right(self, tree_pipe, hosp, spark):
-        """A NULL in the root's split column fails both ``col <= t`` and
-        its negation; it must reach the right branch, as NaN does in
-        ``DecisionTree.apply``, not drop out of the UNION."""
-        u = split_predict(MLPredict(Scan("t"), "m", tree_pipe, "pred"))
-        (col,) = u.children[0].child.predicate.columns()
-        data = hosp.astype({col: float})
-        data.loc[::10, col] = np.nan
-        got = (
-            to_dataframe(u, spark, {"t": spark.createDataFrame(data)})
-            .select("pid", "pred").toPandas().sort_values("pid")
-        )
-        ref = data.assign(pred=pipeline_output(tree_pipe, data, "label")).sort_values("pid")
-        assert len(got) == len(data)
-        np.testing.assert_allclose(got["pred"].to_numpy(), ref["pred"].to_numpy())
-
-    def test_branches_smaller_than_original(self, tree_pipe):
-        u = split_predict(MLPredict(Scan("t"), "m", tree_pipe, "pred"))
-        for branch in u.children:
-            assert branch.pipeline.model.n_nodes < tree_pipe.model.n_nodes
-
-    def test_leaf_tree_not_split(self):
-        rng = np.random.default_rng(0)
-        df = pd.DataFrame({"a": rng.random(50)})
-        pipe = Pipeline(
-            TableFeaturizer(numeric_cols=["a"], scale=False),
-            DecisionTree(task="regression"),
-        ).fit(df, np.ones(50))
-        assert split_predict(MLPredict(Scan("t"), "m", pipe, "p")) is None
-
-    def test_rule_respects_max_splits(self, tree_pipe):
-        catalog = Catalog().add_table("t", hospital.FEATURES, set())
-        plan = MLPredict(Scan("t"), "m", tree_pipe, "pred")
-        rule = ModelQuerySplitting()
-        out, changed = rule.apply(plan, catalog)
-        assert changed
-        out2, changed2 = rule.apply(out, catalog)
-        assert not changed2
-
-    def test_reused_optimizer_splits_every_call(self, tree_pipe):
-        catalog = Catalog().add_table("t", hospital.FEATURES, set())
-        plan = MLPredict(Scan("t"), "m", tree_pipe, "pred")
-        opt = CrossOptimizer([ModelQuerySplitting()])
-        for _ in range(2):
-            assert isinstance(opt.optimize(plan, catalog).plan, Union)
-
-    def test_split_then_prune_shrinks_branches(self, tree_pipe):
-        """The §2 cascade: split → each branch's filter prunes its model."""
-        catalog = Catalog().add_table("t", hospital.FEATURES, set())
-        plan = MLPredict(Scan("t"), "m", tree_pipe, "pred")
-        u, _ = ModelQuerySplitting().apply(plan, catalog)
-        pruned, changed = PredicateBasedModelPruning().apply(u, catalog)
-        # each branch keeps agreeing with the original on its rows
-        for branch in pruned.children:
-            assert branch.pipeline.model.n_nodes <= tree_pipe.model.n_nodes

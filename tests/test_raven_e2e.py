@@ -2,18 +2,14 @@
 analyze → cross-optimize → codegen → Spark, checked for result
 equivalence (optimized vs unoptimized, and against the DuckDB oracle
 for the relational skeleton)."""
-from dataclasses import replace
-
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.datasets import hospital
-from repro.ir import Catalog, Join, MLPredict, Project, Scan, Union, walk
+from repro.ir import Catalog, Join, MLPredict, Project, Scan, walk
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
 from repro.ir.ops import pipeline_output
-from repro.optimizer import CrossOptimizer, default_rules
-from repro.optimizer.splitting import ModelQuerySplitting
 from repro.raven import Raven
 
 
@@ -55,21 +51,6 @@ class TestRunningExample:
         raven, _, _ = setup
         a = raven.run(RUNNING_EXAMPLE, optimize=False).toPandas().sort_values("pid").reset_index(drop=True)
         b = raven.run(RUNNING_EXAMPLE, optimize=True).toPandas().sort_values("pid").reset_index(drop=True)
-        pd.testing.assert_frame_equal(a, b)
-
-    @pytest.mark.parametrize("sql", [RUNNING_EXAMPLE,
-                                     RUNNING_EXAMPLE.replace("pregnant = 1 AND ", "")],
-                             ids=["fig1", "nofilter"])
-    def test_model_query_splitting_equals_unoptimized(self, setup, sql):
-        """Model/query splitting (§2): pruning leaves the two UNION
-        branches' models reading different columns, and the branches
-        must still produce the same ones; a branch filter pushed into a
-        1:1 join's right side must keep that join."""
-        raven, _, _ = setup
-        split = replace(raven, optimizer=CrossOptimizer(default_rules() + [ModelQuerySplitting()]))
-        assert any(isinstance(n, Union) for n in walk(split.optimize(split.analyze_sql(sql)).plan))
-        a = raven.run(sql, optimize=False).toPandas().sort_values("pid").reset_index(drop=True)
-        b = split.run(sql).toPandas()[list(a.columns)].sort_values("pid").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
 
     def test_optimizer_prunes_model(self, setup):

@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.datasets import flights, hospital
-from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, NNPredict, Project, Scan, Union
+from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, NNPredict, Project, Scan
 from repro.ir import ops
 from repro.ir.ops import graph_output
 from repro.miniml import (
@@ -58,16 +58,6 @@ class TestCodegen:
         )
         assert df.columns.count("pid") == 1
         assert df.count() == 200
-
-    def test_union_codegen(self, spark):
-        t = hospital.tables(100, seed=3)
-        s = Scan("patient_info")
-        plan = Union([
-            Filter(s, Cmp(">", Col("age"), Lit(60))),
-            Filter(s, Cmp("<=", Col("age"), Lit(60))),
-        ])
-        df = to_dataframe(plan, spark, {"patient_info": spark.createDataFrame(t["patient_info"])})
-        assert df.count() == 100
 
     def test_mlpredict_codegen_matches_local(self, spark, hosp_small, tree_pipe):
         plan = MLPredict(Scan("joined"), "m", tree_pipe, "pred")

@@ -85,8 +85,8 @@ def linear_case_sql(pipe) -> str:
     categorical ones as CASE terms."""
     import numpy as np
 
-    from repro.ir.expr import sql_double
-    from repro.optimizer.inlining import _key, linear_to_sql
+    from repro.ir.expr import Lit, sql_double
+    from repro.optimizer.inlining import linear_to_sql
 
     specs = pipe.featurizer.feature_specs
     is_cat = np.array([s[0] == "cat" for s in specs])
@@ -95,7 +95,7 @@ def linear_case_sql(pipe) -> str:
     terms = [linear_to_sql(numeric, pipe.featurizer, kind="score")]
     for spec, w in zip(specs, pipe.model.coef_):
         if spec[0] == "cat" and w != 0.0:
-            terms.append(f"(CASE WHEN {spec[1]} = {_key(spec[2])} THEN {sql_double(w)} "
+            terms.append(f"(CASE WHEN {spec[1]} = {Lit(spec[2]).to_sql()} THEN {sql_double(w)} "
                          "ELSE 0.0E0 END)")
     return f"(1.0E0 / (1.0E0 + EXP(-({' + '.join(terms)}))))"
 
