@@ -11,10 +11,10 @@ execution modes of §5:
   session-caching effect in isolation.
 * **Raven** (in-process PREDICT): ``Raven`` over the cached ``flights``
   table runs ``SELECT flight_id, PREDICT(MODEL m) AS p FROM flights``
-  with the predict compiled to its onnxlite graph
-  (``translate_predict``), the engine ORT runs too: the forest has an
-  SQL form that Raven would pick, but this table compares engines
-  hosting one graph. The codegen's ``mapInPandas`` ships the
+  with the predict as its onnxlite graph, the engine ORT runs too: the
+  optimizer translates the MLP, and ``raven_predict`` the forest, whose
+  SQL form Raven would pick, as this table compares engines hosting
+  one graph. The codegen's ``mapInPandas`` ships the
   compiled graph in the task closure, so no query reloads the model
   from disk, and Spark parallelizes scan+predict across all cores — the
   two effects behind Fig. 3's observations (ii) and (iii).

@@ -12,11 +12,11 @@ Rule inventory (module → paper optimization):
 * ``clustering`` — model clustering: per-cluster precompiled models
   behind a cheap router (§4.1).
 * ``inlining`` — model inlining: the SQL translators for trees,
-  forests and linear models (§4.2), and ``predict_sql``, the one
-  decision of a predict's physical form. Not a rule: ``runtime.codegen``
-  runs every predict with an SQL form as SQL.
-* ``nn_translate`` — NN translation: classical pipelines with no SQL
-  form (MLPs) become onnxlite graphs (§4.2).
+  forests and linear models (§4.2), and ``predict_sql``, which decides
+  by model type whether a predict has an SQL form. Not a rule:
+  ``runtime.codegen`` runs every predict with an SQL form as SQL.
+* ``nn_translate`` — NN translation: MLPs become onnxlite graphs
+  (§4.2), by model type; the last of ``default_rules()``.
 
 Model/query splitting (§2) is not a rule: with every tree under the
 ``inlining.MAX_CASE_NODES`` cap inlined whole, a UNION of two split

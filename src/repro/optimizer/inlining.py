@@ -1,8 +1,8 @@
 """Model inlining (§4.2): translate ML operators into SQL expressions
 so the relational engine executes them (no data movement, relational
 optimizer sees through them, whole-stage codegen compiles them).
-``predict_sql`` is the one place that decides which predicts run in
-this form; codegen and the NN translation rule both ask it.
+``predict_sql`` decides which predicts run in this form; codegen asks
+it.
 
 * Decision trees become nested ``CASE WHEN col <= x THEN ... END``.
   ``TableFeaturizer.raw_split`` maps each split over a standardized
@@ -181,24 +181,23 @@ def case_nodes(model: DecisionTree | RandomForest, kind: str) -> int:
 
 
 def predict_sql(node) -> str | None:
-    """The SQL form of ``node``, or None when it has none: the one place
-    that decides a predict's physical form. An ``MLPredict`` of a tree,
-    a forest, or a linear or logistic model has one, so codegen selects
-    it over the child and ``NNTranslation`` leaves it alone; MLPs,
-    graphs, clustered models, multi-class forest labels and trees or
-    forests of more than ``MAX_CASE_NODES`` CASE nodes have none and run
-    in one ``mapInPandas`` wave.
+    """The SQL form of ``node``, or None when it has none. An
+    ``MLPredict`` of a tree, a forest, or a linear or logistic model has
+    one, so codegen selects it over the child; MLPs (graphs after
+    ``NNTranslation``), clustered models, multi-class forest labels and
+    trees or forests of more than ``MAX_CASE_NODES`` CASE nodes have
+    none and run in one ``mapInPandas`` wave.
 
     ``tools/inline_probe.py`` measured the forms (250K rows, ``local[4]``
     on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined with
     ``Raven``'s huge-method limit of 8000): the Fig. 1 depth-6 tree
-    0.63 / 0.58 / 0.23 s, the flights LR 0.57 / 0.50 / 0.23 s,
-    ``delay_rf`` (217 CASE nodes, one-hot splits) 1.15 / 0.86 / 0.31 s,
-    a 30-tree hospital forest (474) 0.80 / 0.97 / 0.46 s. At Spark's
-    default limit the last two take 1.13 and 1.32 s inlined: generated
+    0.76 / 0.69 / 0.27 s, the flights LR 0.83 / 0.69 / 0.29 s,
+    ``delay_rf`` (217 CASE nodes, one-hot splits) 1.14 / 0.82 / 0.32 s,
+    a 30-tree hospital forest (474) 1.03 / 1.22 / 0.61 s. At Spark's
+    default limit the last two take 1.15 and 1.59 s inlined: generated
     code over HotSpot's 8000-byte JIT limit runs interpreted. Past
     ``MAX_CASE_NODES`` the limit no longer helps: the 60-tree forest
-    (947) takes 0.94 / 1.47 / 1.25 s, and 1.25 s at the default too."""
+    (947) takes 0.90 / 1.36 / 1.13 s, and 1.11 s at the default."""
     if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
         return None
     model = node.pipeline.model

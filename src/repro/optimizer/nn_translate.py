@@ -5,25 +5,24 @@ forest) — the executor can then choose the NN engine for this operator,
 as Raven's runtime selection does.
 
 Model inlining (ML→SQL) and NN translation are alternative physical
-forms of one predict, and ``inlining.predict_sql`` picks between them:
-the rule translates only a predict with no SQL form, which among the
-miniml pipelines leaves MLPs. Trees, forests and linear or logistic
-models stay ``MLPredict``s, which codegen runs as Catalyst expressions
-with no Python task; as graphs they would pay a ``mapInPandas`` wave
-(see ``predict_sql`` for the measurements). ``translate_predict``
-still compiles any tree, forest, linear or MLP pipeline, for callers
-that want the graph form itself."""
+forms of one predict. The rule, last of ``default_rules()``, translates
+exactly the ``MLPClassifier`` predicts: an MLP has no SQL form, and of
+its two ``mapInPandas`` forms the graph is the faster or tied one
+(``tools/inline_probe.py``). Every other predict stays an ``MLPredict``,
+run as SQL or as one miniml wave. ``translate_predict`` still compiles
+any tree, forest, linear or MLP pipeline, for callers that want the
+graph form itself."""
 from __future__ import annotations
 
 from repro.ir import PlanNode
 from repro.ir.ops import MLPredict, NNPredict
 from repro.ir.plan import Catalog
 from repro.miniml.forest import RandomForest
+from repro.miniml.mlp import MLPClassifier
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import DecisionTree
 from repro.onnxlite import optimize
 from repro.onnxlite.convert import pipeline_to_graph
-from repro.optimizer.inlining import predict_sql
 from repro.optimizer.rules import Rule
 
 
@@ -50,11 +49,7 @@ class NNTranslation(Rule):
     name = "nn_translation"
 
     def rewrite(self, node: PlanNode, catalog: Catalog) -> PlanNode:
-        if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
-            return node
-        if predict_sql(node) is not None:
-            return node
-        try:
+        if (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)
+                and isinstance(node.pipeline.model, MLPClassifier)):
             return translate_predict(node)
-        except TypeError:
-            return node
+        return node

@@ -23,7 +23,7 @@ from repro.ir import Constraint, PlanNode
 from repro.ir.ops import MLPredict
 from repro.ir.plan import Catalog
 from repro.miniml.forest import RandomForest, tree_members, with_members
-from repro.miniml.linear import LogisticRegressionL1
+from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import DecisionTree
 from repro.optimizer.relational import gather_constraints
@@ -85,7 +85,7 @@ def prune_pipeline(pipe: Pipeline, col_constraints: dict) -> tuple[Pipeline, boo
 
     # 1. categorical equality → fold one-hot block (linear models)
     featurizer = pipe.featurizer
-    if isinstance(model, LogisticRegressionL1):
+    if isinstance(model, (LogisticRegressionL1, LinearRegression)):
         coef = model.coef_
         bias = model.intercept_
         for col in list(featurizer.categorical_cols):

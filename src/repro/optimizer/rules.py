@@ -64,8 +64,9 @@ class CrossOptimizer:
 def default_rules() -> list[Rule]:
     """The default heuristic order: normalize filters first so model
     rules see every predicate, then cross-IR rules, then column pruning
-    (which performs join elimination last, once models have shed
-    features)."""
+    (join elimination, once models have shed features), then NN
+    translation of the MLPs."""
+    from repro.optimizer.nn_translate import NNTranslation
     from repro.optimizer.projection import ModelProjectionPushdown
     from repro.optimizer.pruning import PredicateBasedModelPruning
     from repro.optimizer.relational import FilterPushdown, PruneColumns
@@ -75,4 +76,5 @@ def default_rules() -> list[Rule]:
         PredicateBasedModelPruning(),
         ModelProjectionPushdown(),
         PruneColumns(),
+        NNTranslation(),
     ]

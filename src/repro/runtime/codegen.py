@@ -4,24 +4,23 @@ Spark DataFrame.
 Relational nodes become DataFrame operations (so Catalyst sees and
 further optimizes them — the paper's generated SQL plays the same
 role). Each predict runs in the physical form that
-``optimizer.inlining.predict_sql`` picks, by model type; it is the one
-decision point, and ``NNTranslation`` asks it too:
+``optimizer.inlining.predict_sql`` picks, by model type:
 
 * An ``MLPredict`` of a decision tree, a random forest, or a linear or
   logistic model has an SQL form (§4.2): a select of its SQL
   expression over the child. Catalyst compiles it into the scan's
   stage; no Python task, no Arrow round trip.
-* Every other predict — MLPs, ``NNPredict`` graphs,
-  ``ClusteredPredict`` — becomes one ``mapInPandas`` whose batches are
-  scored by the node's own ``predict_pandas``: the
+* Every other predict — MLP graphs (``NNPredict``), ``ClusteredPredict``,
+  models past the SQL size cap — becomes one ``mapInPandas`` whose
+  batches are scored by the node's own ``predict_pandas``: the
   DataFrame→DataFrame physical-operator pattern (a true JVM operator is
   out of scope, see DESIGN.md). Spark parallelizes scan+predict exactly
   like SQL Server does for PREDICT in Fig. 3(iii).
 
 ``tools/inline_probe.py`` measured the choice (250K rows, ``local[4]``
 on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined): the
-Fig. 1 depth-6 tree 0.84 / 0.91 / 0.30 s; the flights LR with 204
-one-hot weights 0.86 / 0.86 / 0.34 s as map lookups (4.34 s as a CASE
+Fig. 1 depth-6 tree 0.76 / 0.69 / 0.27 s; the flights LR with 204
+one-hot weights 0.83 / 0.69 / 0.29 s as map lookups (1.29 s as a CASE
 term per weight). A graph pays the same Python wave as the pipeline it
 was translated from, so it never beats an SQL form. Large CASE
 expressions (deep trees, forests of 7 trees and up) are only fast once
@@ -34,9 +33,9 @@ Every Python task pays a fixed start-up, almost all of it in pyspark's
 per-task ``importlib.invalidate_caches()``. On ``local[4]`` (4-vCPU
 Xeon) an identity ``mapInPandas`` over 1 000 rows takes 0.41 s on 4
 partitions and 0.59 s on 8, while the benchmark's 250K-row flights
-forest scores in about 0.7 s of CPU. So the predict's child is
-coalesced (narrow, no shuffle) to ``defaultParallelism`` partitions:
-one wave of Python tasks per PREDICT, not one per input partition.
+forest scores in about 0.7 s of CPU. So a predict's or a UDF's input
+is coalesced (narrow, no shuffle) to ``defaultParallelism`` partitions:
+one wave of Python tasks per opaque node, not one per input partition.
 Catalyst cannot prune the output of an opaque ``mapInPandas``, so when
 a ``Project`` sits directly on a predict, only the child columns it
 reads come back over Arrow, with the prediction column.
@@ -86,11 +85,16 @@ def _predict_map_fn(node, drop=()):
     return fn
 
 
+def _one_wave(child: DataFrame) -> DataFrame:
+    """``child`` as the input of one wave of Python tasks."""
+    return child.coalesce(child.sparkSession.sparkContext.defaultParallelism)
+
+
 def map_in_pandas(node, child: DataFrame, keep: set[str] | None = None) -> DataFrame:
     """``node`` scored in Python: ``child``, coalesced to one wave of
     tasks, through ``mapInPandas``. Only the child columns in ``keep``
     (all when None) come back with the prediction column."""
-    child = child.coalesce(child.sparkSession.sparkContext.defaultParallelism)
+    child = _one_wave(child)
     if keep is None:
         keep = set(child.columns)
     fields = [f for f in child.schema.fields if f.name in keep]
@@ -159,7 +163,7 @@ def to_dataframe(plan: PlanNode, spark: SparkSession, tables: dict[str, DataFram
     if isinstance(plan, PREDICTS):
         return _predict_dataframe(plan, spark, tables)
     if isinstance(plan, UDFNode):
-        child = to_dataframe(plan.child, spark, tables)
+        child = _one_wave(to_dataframe(plan.child, spark, tables))
 
         def fn(batches, _f=plan.fn):
             for pdf in batches:

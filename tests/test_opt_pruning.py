@@ -15,8 +15,10 @@ from repro.ir import (
     MLPredict,
     Scan,
 )
+from repro.ir.ops import pipeline_output
 from repro.miniml import (
     DecisionTree,
+    LinearRegression,
     LogisticRegressionL1,
     Pipeline,
     RandomForest,
@@ -167,6 +169,28 @@ class TestCategoricalFolding:
             new_pipe.decision_function(sub), pipe.decision_function(sub), atol=1e-10
         )
         assert set(new_pipe.featurizer.categorical_cols) == {"origin"}
+
+    def test_linear_regression_folds_like_logistic(self):
+        """Both linear models fold a one-hot block under an equality
+        filter: a ``LinearRegression`` drops the bound block's features
+        and keeps its output on the rows the filter passes."""
+        df = flights.frame(6000, seed=0)
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
+            LinearRegression(),
+        ).fit(df, df["dep_delay"].to_numpy() * 0.3 + df["delayed"].to_numpy())
+        catalog = Catalog().add_table("flights", list(df.columns), {"flight_id"})
+        plan = MLPredict(Filter(Scan("flights"), Cmp("=", Col("dest"), Lit("A00"))),
+                         "m", pipe, "pred")
+        out, changed = PredicateBasedModelPruning().apply(plan, catalog)
+        assert changed
+        folded = out.pipeline
+        assert folded.featurizer.n_features == pipe.featurizer.n_features - flights.N_AIRPORTS
+        assert "dest" not in folded.input_cols
+        sub = df[df["dest"] == "A00"]
+        assert len(sub)
+        np.testing.assert_allclose(pipeline_output(folded, sub, "label"),
+                                   pipeline_output(pipe, sub, "label"), rtol=0, atol=1e-10)
 
 
 class TestRuleOnPlan:

@@ -1,7 +1,7 @@
 """The rule contract: ``Rule.apply`` drives a rule's node-local
 ``rewrite`` over the plan bottom-up and reports a change exactly when
-it returns a different root object. Checked for every default rule and
-for ``NNTranslation``, which tests and experiments wire by hand."""
+it returns a different root object. Checked for every default rule,
+``NNTranslation`` (the last one) included."""
 import pytest
 
 from repro.analyzer import parse_inference_query
@@ -10,8 +10,11 @@ from repro.ir import Catalog, Col, Project, Scan
 from repro.miniml import DecisionTree, Pipeline, TableFeaturizer
 from repro.optimizer import default_rules
 from repro.optimizer.nn_translate import NNTranslation
+from repro.optimizer.pruning import PredicateBasedModelPruning
+from repro.optimizer.projection import ModelProjectionPushdown
+from repro.optimizer.relational import FilterPushdown, PruneColumns
 
-RULES = [type(r) for r in default_rules()] + [NNTranslation]
+RULES = [type(r) for r in default_rules()]
 
 FIG1 = (
     "SELECT pid, age, PREDICT(MODEL los_model) AS predicted_los "
@@ -58,3 +61,8 @@ class TestRuleContract:
         again, changed_again = rule.apply(out, catalog)
         assert again is out
         assert not changed_again
+
+
+def test_default_rules_order():
+    assert RULES == [FilterPushdown, PredicateBasedModelPruning, ModelProjectionPushdown,
+                     PruneColumns, NNTranslation]

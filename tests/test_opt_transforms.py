@@ -1,4 +1,5 @@
-"""NN translation and model clustering."""
+"""NN translation, the default optimizer's choice of an MLP's graph
+form, and model clustering."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,6 +10,7 @@ from repro.ir import (
     MLPredict,
     NNPredict,
     Scan,
+    walk,
 )
 from repro.ir.ops import ClusteredPredict, pipeline_output
 from repro.miniml import (
@@ -19,7 +21,7 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
-from repro.optimizer import CrossOptimizer
+from repro.optimizer import CrossOptimizer, inlining
 from repro.optimizer.clustering import compile_clustered, to_clustered_predict
 from repro.optimizer.inlining import predict_sql
 from repro.optimizer.nn_translate import NNTranslation, translate_predict
@@ -130,6 +132,45 @@ class TestNNTranslation:
             np.testing.assert_allclose(out.predict_pandas(df), plan.predict_pandas(df),
                                        atol=1e-12)
 
+    def test_rule_translates_exactly_the_mlps_without_rendering_sql(self, hosp, fl,
+                                                                     monkeypatch):
+        """Alone and as the default optimizer's last rule,
+        ``NNTranslation`` turns an MLP's predict into a graph and leaves
+        trees, forests (a three-class forest label too, which has no SQL
+        form) and linear models as ``MLPredict``s. It decides by model
+        type: no SQL is rendered."""
+        y = (hosp["los"] > 7).astype(int).to_numpy()
+        y3 = np.digitize(hosp["los"], [5, 9])
+
+        def fit(model, target=y):
+            feat = TableFeaturizer(numeric_cols=hospital.FEATURES, scale=False)
+            return Pipeline(feat, model).fit(hosp[hospital.FEATURES], target)
+
+        predicts = [
+            (fit(DecisionTree(max_depth=3, min_samples_leaf=10)), "label", False),
+            (fit(RandomForest(n_trees=3, max_depth=3, seed=0)), "proba", False),
+            (fit(RandomForest(n_trees=3, max_depth=3, seed=0), y3), "label", False),
+            (Pipeline(TableFeaturizer(numeric_cols=flights.NUMERIC,
+                                      categorical_cols=flights.CATEGORICAL),
+                      LogisticRegressionL1(alpha=1e-4, max_iter=50))
+             .fit(fl, fl["delayed"].to_numpy()), "proba", False),
+            (fit(MLPClassifier(hidden=(4,), epochs=2, seed=0)), "proba", True),
+        ]
+
+        def rendered(*args, **kwargs):
+            raise AssertionError("the optimizer rendered a predict's SQL")
+
+        monkeypatch.setattr(inlining, "tree_to_sql", rendered)
+        monkeypatch.setattr(inlining, "linear_to_sql", rendered)
+        catalog = Catalog().add_table("t", list(fl.columns) + list(hosp.columns), set())
+        for pipe, kind, graph in predicts:
+            plan = MLPredict(Scan("t"), "m", pipe, "pred", kind=kind)
+            out, changed = NNTranslation().apply(plan, catalog)
+            assert changed == graph and isinstance(out, NNPredict) == graph
+            optimized = CrossOptimizer().optimize(plan, catalog).plan
+            (node,) = [n for n in walk(optimized) if isinstance(n, (MLPredict, NNPredict))]
+            assert isinstance(node, NNPredict) == graph, type(pipe.model).__name__
+
     def test_kmeans_model_not_translatable(self):
         from repro.miniml import KMeans
 
@@ -140,17 +181,15 @@ class TestNNTranslation:
         assert not changed
 
 
-class TestNNTranslationOnSpark:
-    """``Raven.run`` under ``default_rules() + [NNTranslation()]``, the
-    ``flights-graph`` optimizer: the flights LR and the forest both run
-    as SQL, with no Python wave, and equal ``pipeline_output`` row for
-    row on data with NULL numerics, NULL categories and unseen
-    categories."""
+class TestDefaultOptimizerOnSpark:
+    """``Raven.run`` under the default optimizer: the flights LR and the
+    forest run as SQL, with no Python wave, and the MLP as its graph in
+    one wave. Each equals ``pipeline_output`` row for row on data with
+    NULL numerics, NULL categories and unseen categories."""
 
     @pytest.fixture(scope="class")
     def raven(self, spark):
         from repro.experiments.common import flights_lr_pipeline
-        from repro.optimizer import default_rules
         from repro.raven import Raven
 
         score = flights.frame(3000, seed=5)
@@ -160,33 +199,58 @@ class TestNNTranslationOnSpark:
         score.loc[1::11, "dest"] = "ZZZ"  # unseen in training
         score.loc[2::13, "carrier"] = None
         train = flights.frame(2000, seed=0)
-        forest = Pipeline(
-            TableFeaturizer(numeric_cols=flights.NUMERIC, categorical_cols=flights.CATEGORICAL),
-            RandomForest(n_trees=4, max_depth=4, min_samples_leaf=20, seed=0),
-        ).fit(train, train["delayed"].to_numpy())
+        y = train["delayed"].to_numpy()
+
+        def fit(model):
+            feat = TableFeaturizer(numeric_cols=flights.NUMERIC,
+                                   categorical_cols=flights.CATEGORICAL)
+            return Pipeline(feat, model).fit(train, y)
+
         r = Raven(spark=spark,
                   catalog=Catalog().add_table("flights", list(score.columns), {"flight_id"}),
-                  tables={"flights": spark.createDataFrame(score)},
-                  optimizer=CrossOptimizer(default_rules() + [NNTranslation()]))
-        pipes = {"delay_lr": flights_lr_pipeline(n_train=5_000, alpha=1e-5, seed=0),
-                 "delay_rf": forest}
+                  tables={"flights": spark.createDataFrame(score)})
+        pipes = {
+            "delay_lr": flights_lr_pipeline(n_train=5_000, alpha=1e-5, seed=0),
+            "delay_rf": fit(RandomForest(n_trees=4, max_depth=4, min_samples_leaf=20, seed=0)),
+            "delay_mlp": fit(MLPClassifier(hidden=(8, 4), epochs=2, seed=0)),
+        }
         for name, pipe in pipes.items():
             r.register_model(name, pipe, kind="proba")
         nulls = r.tables["flights"].where("distance IS NULL AND origin IS NULL").count()
         assert nulls == len(score[::42])
         return r, pipes, score
 
-    @pytest.mark.parametrize("model, waves", [("delay_lr", 0), ("delay_rf", 0)])
-    def test_form_and_rows(self, raven, model, waves):
-        r, pipes, score = raven
-        df = r.run(f"SELECT flight_id, PREDICT(MODEL {model}) AS p FROM flights")
+    def _check(self, r, model, pipe, kind, score, form, waves):
+        """``model`` optimizes to a ``form`` predict, runs in ``waves``
+        Python waves and equals ``pipeline_output``, NaN for NaN."""
+        sql = f"SELECT flight_id, PREDICT(MODEL {model}) AS p FROM flights"
+        plan = r.optimize(r.analyze_sql(sql)).plan
+        assert [type(n) for n in walk(plan) if isinstance(n, (MLPredict, NNPredict))] == [form]
+        df = r.run(sql)
         physical = df._jdf.queryExecution().executedPlan().toString()
         assert physical.count("MapInPandas") == waves
         got = df.toPandas().sort_values("flight_id")
-        ref = pipeline_output(pipes[model], score, "proba")
+        ref = pipeline_output(pipe, score, kind)
         assert np.array_equal(got["flight_id"], score["flight_id"])
         np.testing.assert_allclose(got["p"].to_numpy(dtype=np.float64), ref,
-                                   rtol=0, atol=1e-12)
+                                   rtol=0, atol=1e-12, equal_nan=True)
+        return ref
+
+    @pytest.mark.parametrize("model, form, waves", [
+        ("delay_lr", MLPredict, 0), ("delay_rf", MLPredict, 0), ("delay_mlp", NNPredict, 1)])
+    def test_form_and_rows(self, raven, model, form, waves):
+        r, pipes, score = raven
+        self._check(r, model, pipes[model], "proba", score, form, waves)
+
+    @pytest.mark.parametrize("kind", ["label", "score"])
+    def test_mlp_label_and_score(self, raven, kind):
+        """A NULL numeric makes the MLP's score NaN and its label 0, as
+        ``NaN > 0`` is false; a NULL or unseen category gathers no
+        weight."""
+        r, pipes, score = raven
+        r.register_model(f"delay_mlp_{kind}", pipes["delay_mlp"], kind=kind)
+        ref = self._check(r, f"delay_mlp_{kind}", pipes["delay_mlp"], kind, score, NNPredict, 1)
+        assert np.isnan(ref).any() == (kind == "score")
 
 
 class TestModelClustering:

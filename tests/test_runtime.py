@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.datasets import flights, hospital
-from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, NNPredict, Project, Scan
+from repro.ir import Cmp, Col, Filter, Join, Lit, MLPredict, NNPredict, Project, Scan, UDFNode
 from repro.ir import ops
 from repro.ir.ops import graph_output
 from repro.miniml import (
@@ -86,17 +86,22 @@ class TestCodegen:
                 np.testing.assert_allclose(got.to_numpy(), want)
 
     def test_predict_runs_one_wave_of_tasks(self, spark, fl_graph):
+        """A predict and a black-box UDF each run one wave of Python
+        tasks, whatever their input's partitioning."""
         fl, pipe, path = fl_graph
         node = NNPredict(Scan("flights"), "fl", InferenceSession(path).graph,
                          pipe.featurizer, "p", kind="proba")
+        udf = UDFNode(Scan("flights"),
+                      lambda pdf: pdf.assign(p=pipe.predict_proba(pdf)[:, 1]))
         n = spark.sparkContext.defaultParallelism
         want = pipe.predict_proba(fl.sort_values("flight_id"))[:, 1]
-        for parts, want_parts in [(2 * n, n), (1, 1)]:
-            sdf = spark.createDataFrame(fl).repartition(parts)
-            df = to_dataframe(node, spark, {"flights": sdf})
-            assert df.rdd.getNumPartitions() == want_parts
-            got = df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"]
-            np.testing.assert_allclose(got.to_numpy(), want)
+        for plan in (node, udf):
+            for parts, want_parts in [(2 * n, n), (1, 1)]:
+                sdf = spark.createDataFrame(fl).repartition(parts)
+                df = to_dataframe(plan, spark, {"flights": sdf})
+                assert df.rdd.getNumPartitions() == want_parts
+                got = df.select("flight_id", "p").toPandas().sort_values("flight_id")["p"]
+                np.testing.assert_allclose(got.to_numpy(), want)
 
     def test_project_over_predict_returns_projected_columns(self, spark, fl_graph):
         fl, pipe, path = fl_graph

@@ -9,15 +9,15 @@ of ``--runs`` ``force`` runs after one warm-up. "python" is
 ``codegen.map_in_pandas``: one wave of Python tasks, the form codegen
 gives a predict with no SQL form. "graph" is the same wave scoring the
 model's onnxlite graph (``nn_translate.translate_predict``); it is
-timed for the Fig. 1 depth-6 tree, the flights LR and every forest.
-"inlined" is ``inline_pipeline_sql``'s expression selected over the
+timed for the Fig. 1 depth-6 tree, the flights LR, every forest and
+the MLPs. "inlined" is ``inline_pipeline_sql``'s expression selected over the
 same cached table, with ``spark.sql.codegen.hugeMethodLimit`` at 8000,
 the value ``Raven`` sets; "inlined_default" is the same at Spark's
 default, 65535, which keeps generated methods too large for HotSpot to
 JIT. The printed markdown table has one row per form:
 
 * the Fig. 1 depth-6 hospital regression tree, and the same tree
-  trained to depth 8, 10 and 12;
+  trained to depth 8, 10, 12, 14 and 18;
 * the flights logistic regression of the ``flights-graph`` workload,
   with its one-hot blocks as one CASE term per category (``case``) and
   as one map lookup per column (``map``, what ``linear_to_sql`` emits);
@@ -30,13 +30,17 @@ JIT. The printed markdown table has one row per form:
   100-tree depth-10 flights forest. (All 100 of those flights trees,
   9339 CASE nodes, exceed Janino's 64 KB method limit: every run spends
   about a minute failing to compile, so the form is left out.)
+* T5's flights MLP (hidden 32, 16) and a hospital MLP of the same
+  shape. An MLP has no SQL form, so its inlined columns are empty and
+  its ``max_abs_diff`` compares the graph's output instead.
 
 ``optimizer.inlining.MAX_CASE_NODES`` is read off this table: the
 largest forest whose ``inlined_s`` beats both its ``python_s`` and its
 ``graph_s``, with every smaller forest winning too.
 
 ``CASE nodes`` and ``maps`` count the expression's size. ``max_abs_diff``
-compares the inlined output with ``pipeline_output`` in the driver.
+compares the inlined output (an MLP's graph output) with
+``pipeline_output`` in the driver.
 """
 from __future__ import annotations
 
@@ -123,8 +127,8 @@ def median_s(df, runs: int) -> float:
 
 
 def probe(spark, forms, runs: int) -> list[dict]:
-    """``forms``: (name, cached table, pandas twin, pipeline, kind, SQL,
-    whether to time the graph)."""
+    """``forms``: (name, cached table, pandas twin, pipeline, kind, SQL
+    or None for a model with no SQL form, whether to time the graph)."""
     import numpy as np
     from pyspark.sql import functions as F
 
@@ -145,20 +149,22 @@ def probe(spark, forms, runs: int) -> list[dict]:
     rows = []
     for name, sdf, pdf, pipe, kind, sql, graph in forms:
         node = MLPredict(Scan("t"), name, pipe, "p", kind=kind)
-        inlined = sdf.select("_row", F.expr(sql).alias("p"))
-        spark.conf.set(HUGE_METHOD_LIMIT, JIT_HUGE_METHOD_LIMIT)
-        got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
-        diff = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
-        rows.append({
-            "form": name, "CASE nodes": sql.count("CASE WHEN"),
-            "maps": sql.count("element_at"),
-            "python_s": median_s(map_in_pandas(node, sdf), runs),
-            "graph_s": median_s(map_in_pandas(translate_predict(node), sdf), runs)
-            if graph else "",
-            "inlined_s": inlined_s(inlined, JIT_HUGE_METHOD_LIMIT),
-            "inlined_default_s": inlined_s(inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT),
-            "max_abs_diff": diff,
-        })
+        row = {"form": name, "python_s": median_s(map_in_pandas(node, sdf), runs)}
+        if graph:
+            row["graph_s"] = median_s(map_in_pandas(translate_predict(node), sdf), runs)
+        if sql is None:
+            got = translate_predict(node).predict_pandas(pdf)
+        else:
+            inlined = sdf.select("_row", F.expr(sql).alias("p"))
+            spark.conf.set(HUGE_METHOD_LIMIT, JIT_HUGE_METHOD_LIMIT)
+            got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
+            row.update({
+                "CASE nodes": sql.count("CASE WHEN"), "maps": sql.count("element_at"),
+                "inlined_s": inlined_s(inlined, JIT_HUGE_METHOD_LIMIT),
+                "inlined_default_s": inlined_s(inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT),
+            })
+        row["max_abs_diff"] = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
+        rows.append(row)
         print(rows[-1], file=sys.stderr, flush=True)
     return rows
 
@@ -172,10 +178,11 @@ def main(argv=None) -> None:
     from repro.experiments.common import (
         fmt_table,
         flights_lr_pipeline,
+        flights_mlp_pipeline,
         hospital_forest_pipeline,
         hospital_tree_pipeline,
     )
-    from repro.miniml import Pipeline, RandomForest, TableFeaturizer
+    from repro.miniml import MLPClassifier, Pipeline, RandomForest, TableFeaturizer
     from repro.optimizer.inlining import inline_pipeline_sql
 
     def cached(pdf):
@@ -195,7 +202,7 @@ def main(argv=None) -> None:
     hosp, hosp_pd = cached(hospital.joined_frame(args.rows, seed=1, with_label=False))
     fl, fl_pd = cached(flights.frame(args.rows, seed=1))
     forms = []
-    for depth in (6, 8, 10, 12):
+    for depth in (6, 8, 10, 12, 14, 18):
         pipe = hospital_tree_pipeline(n_train=20_000, seed=0, max_depth=depth)
         forms.append((f"tree depth {depth}", hosp, hosp_pd, pipe, "label",
                       inline_pipeline_sql(pipe, "label"), depth == 6))
@@ -217,12 +224,22 @@ def main(argv=None) -> None:
     big = sub_forest(flights_forest(5_000, n_trees=100, max_depth=10), 10)
     forms.append(("flights forest 10 trees depth 10", fl, fl_pd, big, "proba",
                   inline_pipeline_sql(big, "proba"), True))
+    forms.append(("flights MLP (32, 16)", fl, fl_pd,
+                  flights_mlp_pipeline(n_train=50_000, seed=0), "proba", None, True))
+    train = hospital.joined_frame(20_000, seed=0)
+    hosp_mlp = Pipeline(
+        TableFeaturizer(numeric_cols=hospital.FEATURES),
+        MLPClassifier(hidden=(32, 16), epochs=5, seed=0),
+    ).fit(train[hospital.FEATURES], (train["los"] > 7).astype(int).to_numpy())
+    forms.append(("hospital MLP (32, 16)", hosp, hosp_pd, hosp_mlp, "proba", None, True))
     n_weights = int(sum(w != 0 for s, w in zip(lr.featurizer.feature_specs, lr.model.coef_)
                         if s[0] == "cat"))
     print(f"## Inlined vs graph vs Python, {args.rows} rows, local[4], median of {args.runs} runs")
     print(f"(flights LR: {n_weights} nonzero one-hot weights; inlined_s at "
           "hugeMethodLimit 8000, inlined_default_s at 65535)\n")
-    print(fmt_table(probe(spark, forms, args.runs)))
+    print(fmt_table(probe(spark, forms, args.runs),
+                    ["form", "CASE nodes", "maps", "python_s", "graph_s", "inlined_s",
+                     "inlined_default_s", "max_abs_diff"]))
     spark.stop()
 
 
