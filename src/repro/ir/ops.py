@@ -13,8 +13,8 @@ form: ``model_output`` for a miniml estimator over a feature matrix
 scoring each cluster's) and ``graph_output`` for an onnxlite graph.
 Predict nodes, the external-script worker and the standalone engine
 runs of the experiments all go through these functions. The Spark
-codegen inlines a tree or linear-model ``MLPredict`` as its SQL
-expression and scores every other predict in ``mapInPandas`` over
+codegen inlines a tree, forest or linear-model ``MLPredict`` as its
+SQL expression and scores every other predict in ``mapInPandas`` over
 ``predict_pandas``.
 """
 from __future__ import annotations

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.miniml.tree import DecisionTree
+from repro.miniml.tree import LEAF, DecisionTree
 
 
 @dataclass(eq=False)
@@ -15,7 +15,10 @@ class RandomForest:
 
     Feature subsampling is done per-tree (not per-split) so each member
     remains a plain CART tree — this keeps a compiled forest a stack of
-    its trees' node tables.
+    its trees' node tables. ``fit`` stores every member in the forest's
+    feature and class space: its splits index the forest's features,
+    and its ``value`` has one column per forest class, zero for a class
+    its bootstrap sample missed. A member reads like a lone tree.
     """
 
     n_trees: int = 10
@@ -26,7 +29,6 @@ class RandomForest:
     seed: int = 0
 
     trees: list[DecisionTree] = field(default_factory=list)
-    feature_subsets: list[np.ndarray] = field(default_factory=list)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
@@ -36,7 +38,7 @@ class RandomForest:
         n_sub = f if self.max_features is None else max(1, int(round(f * self.max_features)))
         if self.task == "classification":
             self._classes = np.unique(y)
-        self.trees, self.feature_subsets = [], []
+        self.trees = []
         for t in range(self.n_trees):
             rows = rng.integers(0, n, n)  # bootstrap
             cols = np.sort(rng.choice(f, n_sub, replace=False))
@@ -46,10 +48,18 @@ class RandomForest:
                 min_samples_leaf=self.min_samples_leaf,
                 seed=self.seed + t,
             )
-            # train on the column subset; at predict time we re-project.
             tree.fit(X[np.ix_(rows, cols)], y[rows])
+            # into the forest's spaces: a leaf stays LEAF (cols[-1] is
+            # a valid index, so it must not be remapped)
+            split = tree.feature != LEAF
+            tree.feature[split] = cols[tree.feature[split]]
+            tree.n_features = f
+            if self.task == "classification":
+                value = np.zeros((tree.n_nodes, len(self._classes)))
+                value[:, np.searchsorted(self._classes, tree.classes_)] = tree.value
+                tree.value, tree.n_outputs = value, len(self._classes)
+                tree._classes = self._classes
             self.trees.append(tree)
-            self.feature_subsets.append(cols)
         return self
 
     @property
@@ -59,8 +69,8 @@ class RandomForest:
     def _mean_value(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         acc = None
-        for (tree, cols), values in zip(tree_members(self), member_values(self)):
-            v = values[tree.apply(X[:, cols])]
+        for tree in self.trees:
+            v = tree.predict_value(X)
             acc = v if acc is None else acc + v
         return acc / self.n_trees
 
@@ -80,53 +90,33 @@ class RandomForest:
         classical-framework execution style; used as the interpreted
         baseline bracket in the NN-translation experiment."""
         X = np.asarray(X, dtype=np.float64)
-        members = list(zip(tree_members(self), member_values(self)))
         out = np.zeros((len(X), len(self._classes)))
         for r, x in enumerate(X):
             acc = np.zeros(len(self._classes))
-            for (tree, cols), values in members:
-                xi = x[cols]
+            for tree in self.trees:
                 i = 0
-                while tree.feature[i] != -1:
-                    i = tree.left[i] if xi[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
-                acc += values[i]
+                while tree.feature[i] != LEAF:
+                    i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+                acc += tree.value[i]
             out[r] = acc / self.n_trees
         return out
 
 
-def tree_members(model: DecisionTree | RandomForest) -> list[tuple[DecisionTree, np.ndarray]]:
-    """(tree, feature subset) per member tree: a ``DecisionTree`` is a
-    forest of one member over every feature."""
+def tree_members(model: DecisionTree | RandomForest) -> list[DecisionTree]:
+    """The member trees: a ``DecisionTree`` is a forest of one."""
     if isinstance(model, DecisionTree):
-        return [(model, np.arange(model.n_features))]
-    return list(zip(model.trees, model.feature_subsets))
+        return [model]
+    return list(model.trees)
 
 
-def member_values(model: DecisionTree | RandomForest) -> list[np.ndarray]:
-    """Each member tree's node-value table, one column per output of
-    ``model``: a member whose bootstrap sample missed a class gets a
-    zero column for it, in the place of that class among the model's
-    classes. Members keep their own classes; this aligns them where the
-    values are read."""
-    members = tree_members(model)
-    if model.task != "classification":
-        return [tree.value for tree, _ in members]
-    out = []
-    for tree, _ in members:
-        full = np.zeros((tree.n_nodes, len(model.classes_)))
-        full[:, np.searchsorted(model.classes_, tree.classes_)] = tree.value
-        out.append(full)
-    return out
-
-
-def with_members(model: DecisionTree | RandomForest, trees: list[DecisionTree],
-                 subsets: list[np.ndarray]) -> DecisionTree | RandomForest:
-    """``model`` with new member trees and feature subsets. A tree comes
-    back as a ``DecisionTree`` (its one subset is the identity again),
-    because codegen picks a predict's physical form by model type."""
+def with_members(model: DecisionTree | RandomForest,
+                 trees: list[DecisionTree]) -> DecisionTree | RandomForest:
+    """``model`` with new member trees. A tree comes back as a
+    ``DecisionTree``, because codegen picks a predict's physical form
+    by model type."""
     if isinstance(model, DecisionTree):
         (tree,) = trees
         return tree
     out = copy.copy(model)
-    out.trees, out.feature_subsets = list(trees), list(subsets)
+    out.trees = list(trees)
     return out

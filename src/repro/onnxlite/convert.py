@@ -5,10 +5,9 @@ Trees and forests are compiled to Hummingbird's TreeTraversal strategy
 (Nakandala et al., OSDI 2020), batched over every tree of the forest:
 
 * all trees' nodes are stacked into one set of tables indexed by a
-  global node id — the tested feature (mapped through the tree's column
-  subset), the threshold, the left and right child (a leaf points to
-  itself) and the leaf values, aligned to the forest's classes by
-  ``miniml.forest.member_values``, as ``RandomForest`` reads them;
+  global node id — the tested feature, the threshold, the left and
+  right child (a leaf points to itself) and the leaf values, one
+  column per forest class, as ``RandomForest`` reads them;
 * a (rows, trees) tensor of node ids starts at the roots and takes one
   step per level: ``Gather`` the tables at the current nodes,
   ``GatherElements`` the tested features from the input, ``LessOrEqual``
@@ -31,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.miniml.featurize import TableFeaturizer
-from repro.miniml.forest import RandomForest, member_values, tree_members
+from repro.miniml.forest import RandomForest, tree_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.mlp import MLPClassifier
 from repro.miniml.pipeline import Pipeline
@@ -42,31 +41,27 @@ from repro.onnxlite.graph import Graph, Node
 def _node_tables(model: DecisionTree | RandomForest) -> tuple[dict[str, np.ndarray], int]:
     """Stack every member tree's nodes into one set of tables, indexed
     by a global node id, and return them with the forest's maximum
-    depth.
-
-    Feature ids are mapped through each tree's column subset; a leaf
-    tests feature 0 and points to itself on both sides, so extra levels
-    leave a row that reached it in place."""
-    trees, subsets = zip(*tree_members(model))
+    depth. A leaf tests feature 0 and points to itself on both sides,
+    so extra levels leave a row that reached it in place."""
+    trees = tree_members(model)
     offsets = np.cumsum([0] + [t.n_nodes for t in trees])
-    feature, left, right = [], [], []
-    for tree, cols, off in zip(trees, subsets, offsets):
+    left, right = [], []
+    for tree, off in zip(trees, offsets):
         ids = np.arange(tree.n_nodes, dtype=np.int64) + off
         leaf = tree.feature == LEAF
-        cols = np.asarray(cols, dtype=np.int64)
-        feature.append(np.where(leaf, 0, cols[np.where(leaf, 0, tree.feature)]))
         left.append(np.where(leaf, ids, tree.left + off))
         right.append(np.where(leaf, ids, tree.right + off))
+    feature = np.concatenate([t.feature for t in trees])
     tables = {
-        "feature": np.concatenate(feature),
+        "feature": np.where(feature == LEAF, 0, feature),
         "threshold": np.concatenate([t.threshold for t in trees]),
         "left": np.concatenate(left),
         "right": np.concatenate(right),
-        "value": np.concatenate(member_values(model)),
+        "value": np.concatenate([t.value for t in trees]),
         "roots": offsets[:-1],
     }
     # maximum depth, one level of the whole forest at a time
-    internal = np.concatenate([t.feature != LEAF for t in trees])
+    internal = feature != LEAF
     depth, frontier = 0, tables["roots"]
     while True:
         frontier = frontier[internal[frontier]]

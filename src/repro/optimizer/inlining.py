@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.ir.expr import Lit, sql_double
 from repro.ir.ops import MLPredict
-from repro.miniml.forest import RandomForest, member_values, tree_members
+from repro.miniml.forest import RandomForest, tree_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import LEAF, DecisionTree
@@ -71,13 +71,12 @@ def tree_to_sql(model: DecisionTree | RandomForest, feat, kind: str = "label") -
             kind == "proba" and not (classify and len(model.classes_) > 1)):
         raise ValueError(f"this {model.task} model has no {kind!r} SQL form")
     specs = feat.feature_specs
-    members = tree_members(model)
 
-    def case(tree: DecisionTree, cols, leaf) -> str:
+    def case(tree: DecisionTree, leaf) -> str:
         def rec(i: int) -> str:
             if tree.feature[i] == LEAF:
                 return leaf(i)
-            f = int(cols[tree.feature[i]])
+            f = int(tree.feature[i])
             cond = _split_sql(feat, specs[f], f, float(tree.threshold[i]))
             return (f"CASE WHEN {cond} THEN {rec(int(tree.left[i]))} "
                     f"ELSE {rec(int(tree.right[i]))} END")
@@ -85,19 +84,15 @@ def tree_to_sql(model: DecisionTree | RandomForest, feat, kind: str = "label") -
         return rec(0)
 
     if isinstance(model, DecisionTree):
-        ((tree, cols),) = members
         if classify and kind == "label":
-            return case(tree, cols, lambda i: sql_double(
-                float(tree.classes_[int(np.argmax(tree.value[i]))])))
+            return case(model, lambda i: sql_double(
+                float(model.classes_[int(np.argmax(model.value[i]))])))
         j = 1 if kind == "proba" else 0
-        return case(tree, cols, lambda i: sql_double(tree.value[i, j]))
-
-    values = member_values(model)
+        return case(model, lambda i: sql_double(model.value[i, j]))
 
     def mean(j: int) -> str:
-        total = " + ".join(
-            case(tree, cols, lambda i, v=v: sql_double(v[i, j]))
-            for (tree, cols), v in zip(members, values))
+        total = " + ".join(case(tree, lambda i, v=tree.value: sql_double(v[i, j]))
+                           for tree in model.trees)
         return f"(({total}) / {sql_double(model.n_trees)})"
 
     if kind == "proba":
@@ -174,7 +169,7 @@ def case_nodes(model: DecisionTree | RandomForest, kind: str) -> int:
     counted off the model without rendering it: one per internal node
     of every member tree, and a binary forest ``label`` renders the
     class means twice under one more CASE."""
-    n = sum(int((tree.feature != LEAF).sum()) for tree, _ in tree_members(model))
+    n = sum(int((tree.feature != LEAF).sum()) for tree in tree_members(model))
     if isinstance(model, RandomForest) and kind == "label" and model.task == "classification":
         return 2 * n + 1
     return n
@@ -189,15 +184,16 @@ def predict_sql(node) -> str | None:
     none and run in one ``mapInPandas`` wave.
 
     ``tools/inline_probe.py`` measured the forms (250K rows, ``local[4]``
-    on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined with
-    ``Raven``'s huge-method limit of 8000): the Fig. 1 depth-6 tree
-    0.76 / 0.69 / 0.27 s, the flights LR 0.83 / 0.69 / 0.29 s,
-    ``delay_rf`` (217 CASE nodes, one-hot splits) 1.14 / 0.82 / 0.32 s,
-    a 30-tree hospital forest (474) 1.03 / 1.22 / 0.61 s. At Spark's
-    default limit the last two take 1.15 and 1.59 s inlined: generated
-    code over HotSpot's 8000-byte JIT limit runs interpreted. Past
-    ``MAX_CASE_NODES`` the limit no longer helps: the 60-tree forest
-    (947) takes 0.90 / 1.36 / 1.13 s, and 1.11 s at the default."""
+    on a 4-vCPU Xeon, median of 5 alternating runs, Python / graph /
+    inlined with ``Raven``'s huge-method limit of 8000): the Fig. 1
+    depth-6 tree 0.78 / 0.80 / 0.25 s, the flights LR 0.80 / 0.79 /
+    0.29 s, ``delay_rf`` (217 CASE nodes, one-hot splits) 0.81 / 0.88 /
+    0.31 s, a 30-tree hospital forest (474) 1.00 / 1.31 / 0.56 s. At
+    Spark's default limit the last two take 1.18 and 1.62 s inlined:
+    generated code over HotSpot's 8000-byte JIT limit runs interpreted.
+    Past ``MAX_CASE_NODES`` the limit no longer helps: the 60-tree
+    forest (947) takes 1.14 / 1.65 / 1.46 s, and 1.40 s at the
+    default."""
     if not (isinstance(node, MLPredict) and isinstance(node.pipeline, Pipeline)):
         return None
     model = node.pipeline.model

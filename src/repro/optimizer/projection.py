@@ -47,29 +47,22 @@ def shrink_linear(pipe: Pipeline) -> tuple[Pipeline, bool]:
 def shrink_trees(pipe: Pipeline) -> tuple[Pipeline, bool]:
     """Drop features no split of any member tree tests (a tree is a
     forest of one member)."""
-    members = tree_members(pipe.model)
-    used = {int(cols[int(f)]) for tree, cols in members for f in tree.feature if f != LEAF}
+    trees = tree_members(pipe.model)
+    used = {int(f) for tree in trees for f in tree.feature if f != LEAF}
     names = pipe.featurizer.feature_names
     unused = {names[i] for i in range(len(names)) if i not in used}
     if not unused:
         return pipe, False
     new_feat, keep = pipe.featurizer.drop_features(unused)
-    old_to_new = {int(o): n for n, o in enumerate(keep)}
-    # member trees index into their subset, which keeps only used
-    # global features — remap each tree's local feature indices
-    trees, subsets = [], []
-    for tree, cols in members:
-        local_keep = [i for i, c in enumerate(cols) if int(c) in old_to_new]
-        local_map = {old: new for new, old in enumerate(local_keep)}
+    old_to_new = np.full(len(names), LEAF, dtype=np.int64)
+    old_to_new[keep] = np.arange(len(keep))
+    shrunk = []
+    for tree in trees:
         t = copy.copy(tree)
-        t.feature = np.array(
-            [local_map[int(f)] if f != LEAF else LEAF for f in tree.feature],
-            dtype=np.int64,
-        )
-        t.n_features = len(local_keep)
-        trees.append(t)
-        subsets.append(np.array([old_to_new[int(cols[i])] for i in local_keep], dtype=np.int64))
-    return Pipeline(new_feat, with_members(pipe.model, trees, subsets)), True
+        t.feature = np.where(tree.feature == LEAF, LEAF, old_to_new[tree.feature])
+        t.n_features = len(keep)
+        shrunk.append(t)
+    return Pipeline(new_feat, with_members(pipe.model, shrunk)), True
 
 
 def shrink_pipeline(pipe: Pipeline) -> tuple[Pipeline, bool]:

@@ -110,13 +110,10 @@ def prune_pipeline(pipe: Pipeline, col_constraints: dict) -> tuple[Pipeline, boo
     #    (a tree is a forest of one member)
     fc = _feature_constraints(Pipeline(featurizer, model), col_constraints)
     if fc and isinstance(model, (DecisionTree, RandomForest)):
-        members = tree_members(model)
-        trees = []
-        for tree, cols in members:
-            sub_fc = {i: fc[int(gi)] for i, gi in enumerate(cols) if int(gi) in fc}
-            trees.append(prune_tree(tree, sub_fc) if sub_fc else tree)
-        if any(pt.n_nodes < tree.n_nodes for pt, (tree, _) in zip(trees, members)):
-            model = with_members(model, trees, [cols for _, cols in members])
+        trees = tree_members(model)
+        pruned = [prune_tree(tree, fc) for tree in trees]
+        if any(pt.n_nodes < tree.n_nodes for pt, tree in zip(pruned, trees)):
+            model = with_members(model, pruned)
             changed = True
 
     if not changed:

@@ -18,10 +18,10 @@ role). Each predict runs in the physical form that
   like SQL Server does for PREDICT in Fig. 3(iii).
 
 ``tools/inline_probe.py`` measured the choice (250K rows, ``local[4]``
-on a 4-vCPU Xeon, median of 5 runs, Python / graph / inlined): the
-Fig. 1 depth-6 tree 0.76 / 0.69 / 0.27 s; the flights LR with 204
-one-hot weights 0.83 / 0.69 / 0.29 s as map lookups (1.29 s as a CASE
-term per weight). A graph pays the same Python wave as the pipeline it
+on a 4-vCPU Xeon, median of 5 alternating runs, Python / graph /
+inlined): the Fig. 1 depth-6 tree 0.78 / 0.80 / 0.25 s; the flights LR
+with 204 one-hot weights 0.80 / 0.79 / 0.29 s as map lookups (1.54 s
+as a CASE term per weight). A graph pays the same Python wave as the pipeline it
 was translated from, so it never beats an SQL form. Large CASE
 expressions (deep trees, forests of 7 trees and up) are only fast once
 ``Raven`` lowers ``spark.sql.codegen.hugeMethodLimit`` to 8000: at

@@ -1,8 +1,9 @@
 """Execution modes of Fig. 3 that are not Raven's own PREDICT, plus
 the per-tuple baseline of §5(v).
 
-In-process PREDICT is the plan itself: ``runtime.codegen`` scores each
-predict node with ``mapInPandas`` (``Raven.run``). The standalone engine
+In-process PREDICT is the plan itself (``Raven.run``): ``runtime.codegen``
+inlines a tree, forest or linear-model predict as a SQL expression and
+scores every other predict node with ``mapInPandas``. The standalone engine
 is one call of the graph-form output contract,
 ``ir.ops.graph_output(InferenceSession(path).run, ...)``.
 

@@ -44,9 +44,6 @@ class ModelStore:
             json.dump(cat, f, indent=1)
         os.replace(tmp, self._catalog_path)
 
-    def list_models(self) -> dict:
-        return self._read_catalog()
-
     def _register(self, name: str, kind: str, path: str) -> int:
         cat = self._read_catalog()
         entry = cat.get(name, {"versions": []})

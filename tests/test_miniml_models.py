@@ -11,6 +11,7 @@ from repro.miniml import (
 )
 from repro.miniml.linear import sigmoid
 from repro.miniml.metrics import accuracy, auc, log_loss
+from repro.miniml.tree import LEAF
 
 
 def _blobs(n=600, seed=0):
@@ -39,8 +40,23 @@ class TestRandomForest:
     def test_feature_subsampling(self):
         X, y = _blobs(300)
         rf = RandomForest(n_trees=4, max_features=0.5, seed=2).fit(X, y)
-        for cols in rf.feature_subsets:
-            assert len(cols) == 2
+        for tree in rf.trees:
+            assert len(set(tree.feature[tree.feature != LEAF].tolist())) <= 2
+
+    def test_members_live_in_forest_space(self):
+        """Each member of a subsampled forest whose bootstrap missed a
+        class reads like a lone tree over the forest's features and
+        classes: the forest is the plain mean of its members."""
+        X, y = _blobs(300)
+        y[10] = 2  # one row: a bootstrap misses it with p ≈ 0.37
+        rf = RandomForest(n_trees=8, max_depth=4, max_features=0.5, seed=0).fit(X, y)
+        assert any((t.value == 0).all(axis=0).any() for t in rf.trees)
+        for tree in rf.trees:
+            assert tree.n_features == X.shape[1]
+            np.testing.assert_array_equal(tree.classes_, rf.classes_)
+            assert tree.value.shape[1] == len(rf.classes_) == 3
+        mean = sum(tree.predict_value(X) for tree in rf.trees) / rf.n_trees
+        np.testing.assert_array_equal(mean, rf.predict_proba(X))
 
     def test_deterministic_in_seed(self):
         X, y = _blobs(200)

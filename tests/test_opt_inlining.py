@@ -18,7 +18,7 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
-from repro.miniml.forest import tree_members, with_members
+from repro.miniml.forest import with_members
 from repro.optimizer import inlining
 from repro.optimizer.inlining import (
     MAX_CASE_NODES,
@@ -169,7 +169,7 @@ class TestTreeToSql:
         per_copy = predict_sql(node).count("CASE WHEN")
         forest = pipe.model
         copies = MAX_CASE_NODES // per_copy + 1
-        big = with_members(forest, forest.trees * copies, forest.feature_subsets * copies)
+        big = with_members(forest, forest.trees * copies)
         big.n_trees = len(big.trees)
         node = MLPredict(Scan("t"), "m", Pipeline(pipe.featurizer, big), "p", kind="proba")
         assert inline_pipeline_sql(node.pipeline, "proba").count("CASE WHEN") > MAX_CASE_NODES
@@ -213,7 +213,7 @@ class TestTreeToSql:
         ).fit(hosp, (hosp["los"] > 7).astype(int).to_numpy())
         forest = pipe.model
         copies = MAX_CASE_NODES // case_nodes(forest, "proba") + 1
-        big = with_members(forest, forest.trees * copies, forest.feature_subsets * copies)
+        big = with_members(forest, forest.trees * copies)
         big.n_trees = len(big.trees)
 
         def fail(*args, **kwargs):
@@ -416,14 +416,14 @@ class TestNullAndUnseenOnSpark:
             RandomForest(n_trees=6, max_depth=5, min_samples_leaf=5, max_features=0.7, seed=1),
         ).fit(train, y)
         specs = pipe.featurizer.feature_specs
-        assert any(specs[cols[f]][0] == "cat" for tree, cols in tree_members(pipe.model)
+        assert any(specs[f][0] == "cat" for tree in pipe.model.trees
                    for f in tree.feature if f != -1)
         self._check(spark, pipe, kind, score, exact=True)
 
     @pytest.mark.parametrize("kind", ["label", "proba"])
     def test_forest_member_missing_a_class(self, spark, data, kind):
         """A member whose bootstrap sample holds one class reads 0 for
-        the other (``member_values``)."""
+        the other: an all-zero column of its ``value``."""
         train, _, score = data
         train = train.iloc[:40]
         y = np.zeros(len(train), dtype=int)
@@ -432,7 +432,7 @@ class TestNullAndUnseenOnSpark:
             TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["ward"]),
             RandomForest(n_trees=8, max_depth=3, min_samples_leaf=1, seed=0),
         ).fit(train, y)
-        assert any(len(t.classes_) == 1 for t in pipe.model.trees)
+        assert any((t.value == 0).all(axis=0).any() for t in pipe.model.trees)
         self._check(spark, pipe, kind, score, exact=True)
 
     @pytest.mark.parametrize("kind", ["score", "proba", "label"])

@@ -4,8 +4,11 @@ SQL on Spark.
     python3 tools/inline_probe.py [--rows 250000] [--runs 5]
 
 Spark runs on ``local[4]`` with a 2 GB driver, as ``perfbench`` does.
-Each input table is cached in 8 partitions. Every time is the median
-of ``--runs`` ``force`` runs after one warm-up. "python" is
+Each input table is cached in 8 partitions. The forms of one model are
+run in turn, one ``force`` run of each form per round: one warm-up
+round, then ``--runs`` timed rounds, so drift over the rounds falls on
+every form alike. Each form's ``_s`` column is the median of its runs
+and its ``Q1–Q3`` column the first and third quartile. "python" is
 ``codegen.map_in_pandas``: one wave of Python tasks, the form codegen
 gives a predict with no SQL form. "graph" is the same wave scoring the
 model's onnxlite graph (``nn_translate.translate_predict``); it is
@@ -107,23 +110,36 @@ def linear_case_sql(pipe) -> str:
 def sub_forest(pipe, k: int):
     """The pipeline's first ``k`` trees as a forest of their own."""
     from repro.miniml import Pipeline
+    from repro.miniml.forest import with_members
 
-    forest = copy.copy(pipe.model)
-    forest.trees, forest.feature_subsets = forest.trees[:k], forest.feature_subsets[:k]
+    forest = with_members(pipe.model, pipe.model.trees[:k])
     forest.n_trees = k
     return Pipeline(pipe.featurizer, forest)
 
 
-def median_s(df, runs: int) -> float:
+def alternating_times(spark, timed: dict, runs: int) -> dict:
+    """``timed``: form name → (DataFrame, huge-method limit to set or
+    None). One warm-up round, then ``runs`` rounds of one ``force`` of
+    each form in turn. Returns ``<form>_s``, the median, and ``<form>
+    Q1–Q3`` per form."""
+    from repro.raven import HUGE_METHOD_LIMIT
     from repro.runtime.timing import force
 
-    force(df)
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        force(df)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    times: dict[str, list[float]] = {name: [] for name in timed}
+    for r in range(runs + 1):
+        for name, (df, limit) in timed.items():
+            if limit is not None:
+                spark.conf.set(HUGE_METHOD_LIMIT, limit)
+            t0 = time.perf_counter()
+            force(df)
+            if r:
+                times[name].append(time.perf_counter() - t0)
+    out = {}
+    for name, ts in times.items():
+        q1, _, q3 = statistics.quantiles(ts, n=4)
+        out[f"{name}_s"] = statistics.median(ts)
+        out[f"{name} Q1–Q3"] = f"{q1:.3g}–{q3:.3g}"
+    return out
 
 
 def probe(spark, forms, runs: int) -> list[dict]:
@@ -142,27 +158,23 @@ def probe(spark, forms, runs: int) -> list[dict]:
     )
     from repro.runtime.codegen import map_in_pandas
 
-    def inlined_s(df, limit: str) -> float:
-        spark.conf.set(HUGE_METHOD_LIMIT, limit)
-        return median_s(df, runs)
-
     rows = []
     for name, sdf, pdf, pipe, kind, sql, graph in forms:
         node = MLPredict(Scan("t"), name, pipe, "p", kind=kind)
-        row = {"form": name, "python_s": median_s(map_in_pandas(node, sdf), runs)}
+        row = {"form": name}
+        timed = {"python": (map_in_pandas(node, sdf), None)}
         if graph:
-            row["graph_s"] = median_s(map_in_pandas(translate_predict(node), sdf), runs)
+            timed["graph"] = (map_in_pandas(translate_predict(node), sdf), None)
         if sql is None:
             got = translate_predict(node).predict_pandas(pdf)
         else:
             inlined = sdf.select("_row", F.expr(sql).alias("p"))
             spark.conf.set(HUGE_METHOD_LIMIT, JIT_HUGE_METHOD_LIMIT)
             got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
-            row.update({
-                "CASE nodes": sql.count("CASE WHEN"), "maps": sql.count("element_at"),
-                "inlined_s": inlined_s(inlined, JIT_HUGE_METHOD_LIMIT),
-                "inlined_default_s": inlined_s(inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT),
-            })
+            row.update({"CASE nodes": sql.count("CASE WHEN"), "maps": sql.count("element_at")})
+            timed["inlined"] = (inlined, JIT_HUGE_METHOD_LIMIT)
+            timed["inlined_default"] = (inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT)
+        row.update(alternating_times(spark, timed, runs))
         row["max_abs_diff"] = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
         rows.append(row)
         print(rows[-1], file=sys.stderr, flush=True)
@@ -234,12 +246,14 @@ def main(argv=None) -> None:
     forms.append(("hospital MLP (32, 16)", hosp, hosp_pd, hosp_mlp, "proba", None, True))
     n_weights = int(sum(w != 0 for s, w in zip(lr.featurizer.feature_specs, lr.model.coef_)
                         if s[0] == "cat"))
-    print(f"## Inlined vs graph vs Python, {args.rows} rows, local[4], median of {args.runs} runs")
+    print(f"## Inlined vs graph vs Python, {args.rows} rows, local[4], "
+          f"median and Q1–Q3 of {args.runs} alternating runs")
     print(f"(flights LR: {n_weights} nonzero one-hot weights; inlined_s at "
           "hugeMethodLimit 8000, inlined_default_s at 65535)\n")
     print(fmt_table(probe(spark, forms, args.runs),
-                    ["form", "CASE nodes", "maps", "python_s", "graph_s", "inlined_s",
-                     "inlined_default_s", "max_abs_diff"]))
+                    ["form", "CASE nodes", "maps", "python_s", "python Q1–Q3", "graph_s",
+                     "graph Q1–Q3", "inlined_s", "inlined Q1–Q3", "inlined_default_s",
+                     "inlined_default Q1–Q3", "max_abs_diff"]))
     spark.stop()
 
 
