@@ -10,7 +10,7 @@ from repro.onnxlite.convert import pipeline_to_graph
 
 @pytest.fixture(scope="module")
 def sess(hosp_forest):
-    return InferenceSession(pipeline_to_graph(hosp_forest))
+    return InferenceSession(pipeline_to_graph(hosp_forest, "proba"))
 
 
 @pytest.mark.parametrize("n", [10_000, 200_000])

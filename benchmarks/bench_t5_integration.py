@@ -15,7 +15,7 @@ from repro.runtime.timing import force
 @pytest.fixture(scope="module")
 def stored(fl_forest, tmp_path_factory):
     store = ModelStore(str(tmp_path_factory.mktemp("t5store")))
-    store.save_graph_model("rf", pipeline_to_graph(fl_forest))
+    store.save_graph_model("rf", pipeline_to_graph(fl_forest, "proba"))
     return fl_forest, store.graph_path("rf")
 
 

@@ -6,7 +6,9 @@ execution modes of §5:
 
 * **ORT** (standalone engine): one process; each run loads the model
   from disk cold — the paper's methodology counts model-load time per
-  run — then scores the batch through ``graph_output``. ``ort_warm``
+  run — then scores the batch through ``graph_output``: the stored
+  graph is compiled for ``proba``, and its output head emits the
+  probability itself. ``ort_warm``
   scores through a cached session (``get_cached_session``): the
   session-caching effect in isolation.
 * **Raven** (in-process PREDICT): ``Raven`` over the cached ``flights``
@@ -53,7 +55,7 @@ def _store_models(root: str, n_train: int, seed: int) -> dict:
         ("rf", flights_forest_pipeline(n_train=n_train, seed=seed)),
         ("mlp", flights_mlp_pipeline(n_train=n_train, seed=seed)),
     ]:
-        store.save_graph_model(name, pipeline_to_graph(pipe))
+        store.save_graph_model(name, pipeline_to_graph(pipe, "proba"))
         out[name] = (pipe, store.graph_path(name))
     return out
 

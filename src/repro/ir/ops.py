@@ -7,15 +7,17 @@ one-hot block): that is the whole point of a *unified* IR — the
 optimizer sees model internals and data operators in one DAG.
 
 Every predict-style node implements ``predict_pandas(pdf) -> np.ndarray``.
-What a predict emits for each ``kind`` is written once per physical
-form: ``model_output`` for a miniml estimator over a feature matrix
-(``pipeline_output`` featurizes a pipeline's rows for it, clustered
-scoring each cluster's) and ``graph_output`` for an onnxlite graph.
-Predict nodes, the external-script worker and the standalone engine
-runs of the experiments all go through these functions. The Spark
-codegen inlines a tree, forest or linear-model ``MLPredict`` as its
-SQL expression and scores every other predict in ``mapInPandas`` over
-``predict_pandas``.
+What a predict emits for each ``kind`` is one contract,
+``model_output``, which every physical form renders and whose missing
+outputs every form rejects: numpy (``pipeline_output`` featurizes a
+pipeline's rows for it, clustered scoring each cluster's), SQL
+(``optimizer.inlining``) and a graph's output head, compiled for the
+kind by ``onnxlite.convert.pipeline_to_graph`` and run by
+``graph_output``. Predict nodes, the external-script worker and the
+standalone engine runs of the experiments all go through these
+functions. The Spark codegen inlines a tree, forest or linear-model
+``MLPredict`` as its SQL expression and scores every other predict in
+``mapInPandas`` over ``predict_pandas``.
 """
 from __future__ import annotations
 
@@ -142,39 +144,18 @@ def pipeline_output(pipeline, pdf: pd.DataFrame, kind: str) -> np.ndarray:
     return model_output(pipeline.model, pipeline.featurizer.transform(pdf), kind)
 
 
-def graph_output(run, featurizer, pdf: pd.DataFrame, kind: str,
-                 classes=None) -> np.ndarray:
-    """Predict-output contract, graph form. ``run`` maps feeds to graph
-    outputs (``Graph.run`` or ``InferenceSession.run``); ``featurizer``
-    builds the feeds (``transform_codes``). Tree/forest graphs emit a
-    ``value`` matrix: ``label`` is ``classes[argmax]`` when ``classes``
-    is given, else column 0 (regression); ``proba`` is column 1. Other
-    graphs emit ``proba`` and/or ``score``; their ``label`` is
-    ``score > 0``."""
+def graph_output(run, featurizer, pdf: pd.DataFrame, kind: str) -> np.ndarray:
+    """Predict-output contract, graph form: output ``kind`` of a graph
+    compiled for it (``onnxlite.convert.pipeline_to_graph``). ``run``
+    maps feeds to graph outputs (``Graph.run`` or
+    ``InferenceSession.run``); ``featurizer`` builds the feeds
+    (``transform_codes``)."""
     if len(pdf) <= GRAPH_CHUNK_ROWS:
         chunks = [pdf]
     else:
         chunks = [pdf.iloc[s : s + GRAPH_CHUNK_ROWS]
                   for s in range(0, len(pdf), GRAPH_CHUNK_ROWS)]
-    parts = []
-    for chunk in chunks:
-        out = run(featurizer.transform_codes(chunk))
-        if "value" in out:
-            v = out["value"]
-            if kind == "label" and classes is not None:
-                parts.append(np.asarray(classes, dtype=np.float64)[np.argmax(v, axis=1)])
-            elif kind == "label":
-                parts.append(v[:, 0])
-            elif kind == "proba":
-                parts.append(v[:, 1])
-            else:
-                raise ValueError(f"kind {kind!r} unsupported for value graphs")
-        elif kind == "label":
-            parts.append((out["score"] > 0).astype(np.float64))
-        elif kind in ("proba", "score"):
-            parts.append(out[kind])
-        else:
-            raise ValueError(f"bad kind {kind!r}")
+    parts = [run(featurizer.transform_codes(chunk))[kind] for chunk in chunks]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -207,7 +188,8 @@ class MLPredict(UnaryNode):
 @dataclass(eq=False)
 class NNPredict(UnaryNode):
     """LA-operator scoring: an onnxlite graph fed through the
-    featurizer's code/numeric inputs (NN-translated pipeline)."""
+    featurizer's code/numeric inputs (NN-translated pipeline), compiled
+    for ``kind``: its output ``kind`` is the predict's output."""
 
     child: PlanNode
     model_name: str
@@ -215,14 +197,13 @@ class NNPredict(UnaryNode):
     featurizer: object  # miniml.TableFeaturizer (for transform_codes)
     output_col: str
     kind: str = "label"
-    classes: np.ndarray | None = None  # for label output of tree/forest graphs
 
     @property
     def input_cols(self) -> list[str]:
         return list(self.featurizer.input_cols)
 
     def predict_pandas(self, pdf: pd.DataFrame) -> np.ndarray:
-        return graph_output(self.graph.run, self.featurizer, pdf, self.kind, self.classes)
+        return graph_output(self.graph.run, self.featurizer, pdf, self.kind)
 
     def label(self) -> str:
         return f"NNPredict({self.model_name}→{self.output_col})"

@@ -225,19 +225,3 @@ class TableFeaturizer:
                 enc.categories_ = cats
                 new.encoders[c] = enc
         return new, np.array(keep_idx, dtype=np.int64)
-
-    def bind_categorical(
-        self, col: str, value
-    ) -> tuple["TableFeaturizer", dict[str, float], np.ndarray]:
-        """Apply an equality predicate ``col == value``: the whole
-        one-hot block becomes constant, so it is removed from the
-        featurizer. Returns (new featurizer, {feature name: constant
-        value} for the removed block, kept index array)."""
-        if col not in self.categorical_cols:
-            raise KeyError(col)
-        consts = {
-            f"{col}={v}": (1.0 if v == value else 0.0)
-            for v in self.encoders[col].categories_
-        }
-        new, keep_idx = self.drop_features(set(consts))
-        return new, consts, keep_idx

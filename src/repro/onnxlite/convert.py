@@ -21,9 +21,10 @@ that node only, exactly as ``DecisionTree.apply`` does. The cost is one
 batch of gathers per level — O(rows · trees · depth) — where the 3-GEMM
 form multiplies every row by every internal node and every leaf.
 
-A pipeline graph reads ``TableFeaturizer.transform_codes``'s feeds. Its
-linear models and MLPs never build the one-hot matrix: the first affine
-layer gathers each one-hot block's weight rows by category code.
+A pipeline graph reads ``TableFeaturizer.transform_codes``'s feeds and
+ends in an output head that emits one predict kind. Its linear models
+and MLPs never build the one-hot matrix: the first affine layer gathers
+each one-hot block's weight rows by category code.
 """
 from __future__ import annotations
 
@@ -231,8 +232,35 @@ def _dense_features(blocks: list[Block], output_name: str) -> list[Node]:
     return nodes
 
 
-def pipeline_to_graph(pipe: Pipeline) -> Graph:
-    """Compile featurizer + estimator end-to-end (the Fig. 3 pipelines).
+def _output_head(model, kind: str) -> tuple[list[Node], dict[str, np.ndarray]]:
+    """Nodes computing tensor ``kind`` from the model graph's ``value``
+    or ``score`` and ``proba``, as ``ir.ops.model_output`` computes it.
+    A ``score > 0`` label is 0 for a NaN score, as in the model. Raises
+    ValueError for an output the model does not have."""
+    if isinstance(model, (DecisionTree, RandomForest)):
+        classify = model.task == "classification"
+        if kind == "label" and classify:
+            return [Node("ArgMax", ["value"], "out_class", {"axis": 1}),
+                    Node("Gather", ["out_classes", "out_class"], "label")], \
+                {"out_classes": np.asarray(model.classes_, dtype=np.float64)}
+        if kind == "label" or (kind == "proba" and classify and len(model.classes_) > 1):
+            return [Node("Gather", ["value", "out_col"], kind, {"axis": 1})], \
+                {"out_col": np.int64(1 if classify else 0)}
+    elif isinstance(model, LinearRegression):
+        if kind == "label":
+            return [Node("Identity", ["score"], "label")], {}
+    elif kind == "label":
+        return [Node("Greater", ["score", "out_zero"], "out_positive"),
+                Node("Where", ["out_positive", "out_one", "out_zero"], "label")], \
+            {"out_zero": np.float64(0.0), "out_one": np.float64(1.0)}
+    elif kind in ("proba", "score"):
+        return [], {}
+    raise ValueError(f"{type(model).__name__} has no {kind!r} output")
+
+
+def pipeline_to_graph(pipe: Pipeline, kind: str) -> Graph:
+    """Compile featurizer + estimator end-to-end (the Fig. 3 pipelines)
+    to a graph whose one output, ``kind``, is ``ir.ops.pipeline_output``'s.
     Feed with ``TableFeaturizer.transform_codes`` outputs. Linear models
     and MLPs read the feature blocks directly; trees and forests read a
     dense feature matrix."""
@@ -247,9 +275,10 @@ def pipeline_to_graph(pipe: Pipeline) -> Graph:
         sub = mlp_to_graph(model, blocks=blocks)
     else:
         raise TypeError(f"cannot NN-translate {type(model).__name__}")
-    nodes.extend(sub.nodes)
-    inits.update(sub.initializers)
-    g = Graph(inputs=[feed for feed, _ in pipe.featurizer.blocks], outputs=list(sub.outputs),
+    head, head_inits = _output_head(model, kind)
+    nodes.extend(sub.nodes + head)
+    inits.update(sub.initializers | head_inits)
+    g = Graph(inputs=[feed for feed, _ in pipe.featurizer.blocks], outputs=[kind],
               nodes=nodes, initializers=inits, name="pipeline")
     g.validate()
     return g

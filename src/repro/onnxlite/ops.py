@@ -5,8 +5,9 @@ dict) -> np.ndarray`` registered in ``KERNELS`` by op_type. The set
 mirrors the slice of ONNX needed by the paper's translated models:
 tree traversal (Gather/GatherElements/LessOrEqual/Where/ReduceSum),
 linear models (MatMul/Add/Sigmoid), MLPs (Gemm/Relu), featurizers
-(OneHot/Concat/Sub/Div) and output shaping (Reshape/Transpose/Identity):
-exactly the ops that ``onnxlite.convert`` emits.
+(OneHot/Concat/Sub/Div), output shaping (Reshape/Transpose/Identity)
+and output heads (ArgMax/Greater): exactly the ops that
+``onnxlite.convert`` emits.
 """
 from __future__ import annotations
 
@@ -70,6 +71,11 @@ def _lesseq(ins, attrs):
     return ins[0] <= ins[1]
 
 
+@register("Greater")
+def _greater(ins, attrs):
+    return ins[0] > ins[1]
+
+
 @register("Where")
 def _where(ins, attrs):
     return np.where(ins[0], ins[1], ins[2])
@@ -115,6 +121,11 @@ def _onehot(ins, attrs):
     valid = (codes >= 0) & (codes < depth)
     out[np.nonzero(valid)[0], codes[valid]] = 1.0
     return out
+
+
+@register("ArgMax")
+def _argmax(ins, attrs):
+    return np.argmax(ins[0], axis=attrs.get("axis", 0))
 
 
 @register("ReduceSum")

@@ -33,15 +33,10 @@ class InferenceSession:
         else:
             g = load_graph(path_or_graph)
         self.graph = optimize(g)
-        self.graph.validate()
 
     @property
     def input_names(self) -> list[str]:
         return list(self.graph.inputs)
-
-    @property
-    def output_names(self) -> list[str]:
-        return list(self.graph.outputs)
 
     def run(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         return self.graph.run(feeds)

@@ -145,10 +145,13 @@ def linear_to_sql(model, feat, kind: str = "score") -> str:
 def inline_pipeline_sql(pipe: Pipeline, kind: str) -> str:
     """The pipeline's ``kind`` output as one SQL expression. Raises
     TypeError for a model with no SQL form, and ValueError for an
-    output that has none (see ``tree_to_sql``)."""
+    output that has none (see ``tree_to_sql``; a ``LinearRegression``
+    has only its ``label``, the score)."""
     model = pipe.model
     if isinstance(model, (DecisionTree, RandomForest)):
         return tree_to_sql(model, pipe.featurizer, kind=kind)
+    if isinstance(model, LinearRegression) and kind != "label":
+        raise ValueError(f"a LinearRegression has no {kind!r} output")
     if isinstance(model, (LogisticRegressionL1, LinearRegression)):
         k = "score" if isinstance(model, LinearRegression) else kind
         return linear_to_sql(model, pipe.featurizer, kind=k)

@@ -17,31 +17,24 @@ from __future__ import annotations
 from repro.ir import PlanNode
 from repro.ir.ops import MLPredict, NNPredict
 from repro.ir.plan import Catalog
-from repro.miniml.forest import RandomForest
 from repro.miniml.mlp import MLPClassifier
 from repro.miniml.pipeline import Pipeline
-from repro.miniml.tree import DecisionTree
 from repro.onnxlite import optimize
 from repro.onnxlite.convert import pipeline_to_graph
 from repro.optimizer.rules import Rule
 
 
 def translate_predict(node: MLPredict) -> NNPredict:
-    """Compile one MLPredict's pipeline to a graph-backed NNPredict."""
+    """Compile one MLPredict's pipeline, for its kind, to a graph-backed
+    NNPredict. Raises ValueError for a kind the model does not have."""
     pipe: Pipeline = node.pipeline
-    graph = optimize(pipeline_to_graph(pipe))
-    classes = None
-    model = pipe.model
-    if isinstance(model, (DecisionTree, RandomForest)) and model.task == "classification":
-        classes = model.classes_
     return NNPredict(
         child=node.child,
         model_name=node.model_name,
-        graph=graph,
+        graph=optimize(pipeline_to_graph(pipe, node.kind)),
         featurizer=pipe.featurizer,
         output_col=node.output_col,
         kind=node.kind,
-        classes=classes,
     )
 
 

@@ -14,7 +14,6 @@ the model will ever see, so the model can be specialized:
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.miniml.forest import RandomForest, tree_members, with_members
 from repro.miniml.linear import LinearRegression, LogisticRegressionL1
 from repro.miniml.pipeline import Pipeline
 from repro.miniml.tree import DecisionTree
+from repro.optimizer.projection import drop_linear_features
 from repro.optimizer.relational import gather_constraints
 from repro.optimizer.rules import Rule
 
@@ -81,44 +81,37 @@ def prune_pipeline(pipe: Pipeline, col_constraints: dict) -> tuple[Pipeline, boo
     """Specialize a pipeline under column constraints. Returns
     (new pipeline, changed?)."""
     model = pipe.model
-    changed = False
 
-    # 1. categorical equality → fold one-hot block (linear models)
-    featurizer = pipe.featurizer
+    # 1. categorical equality → fold one-hot block (linear models): on
+    #    rows with col == v the block is constant, 1 at ``col=v`` and 0
+    #    elsewhere, so its weights fold into the intercept
     if isinstance(model, (LogisticRegressionL1, LinearRegression)):
-        coef = model.coef_
-        bias = model.intercept_
-        for col in list(featurizer.categorical_cols):
+        feat = pipe.featurizer
+        names = feat.feature_names
+        bias, bound = model.intercept_, set()
+        for col in feat.categorical_cols:
             c = col_constraints.get(col)
             if c is None or c.eq is None:
                 continue
-            names = featurizer.feature_names
-            new_feat, consts, keep = featurizer.bind_categorical(col, c.eq)
-            folded = sum(
-                coef[names.index(fname)] * v for fname, v in consts.items()
-            )
-            bias = bias + folded
-            coef = coef[keep]
-            featurizer = new_feat
-            changed = True
-        if changed:
-            model = copy.deepcopy(model)
-            model.coef_ = coef
-            model.intercept_ = float(bias)
+            block = [(f"{col}={v}", 1.0 if v == c.eq else 0.0)
+                     for v in feat.encoders[col].categories_]
+            bias = bias + sum(model.coef_[names.index(name)] * x for name, x in block)
+            bound.update(name for name, _ in block)
+        if not bound:
+            return pipe, False
+        folded = drop_linear_features(pipe, bound)
+        folded.model.intercept_ = float(bias)
+        return folded, True
 
     # 2. numeric interval constraints → tree branch pruning
     #    (a tree is a forest of one member)
-    fc = _feature_constraints(Pipeline(featurizer, model), col_constraints)
+    fc = _feature_constraints(pipe, col_constraints)
     if fc and isinstance(model, (DecisionTree, RandomForest)):
         trees = tree_members(model)
         pruned = [prune_tree(tree, fc) for tree in trees]
         if any(pt.n_nodes < tree.n_nodes for pt, tree in zip(pruned, trees)):
-            model = with_members(model, pruned)
-            changed = True
-
-    if not changed:
-        return pipe, False
-    return Pipeline(featurizer, model), True
+            return Pipeline(pipe.featurizer, with_members(model, pruned)), True
+    return pipe, False
 
 
 class PredicateBasedModelPruning(Rule):

@@ -5,7 +5,8 @@ In-process PREDICT is the plan itself (``Raven.run``): ``runtime.codegen``
 inlines a tree, forest or linear-model predict as a SQL expression and
 scores every other predict node with ``mapInPandas``. The standalone engine
 is one call of the graph-form output contract,
-``ir.ops.graph_output(InferenceSession(path).run, ...)``.
+``ir.ops.graph_output(InferenceSession(path).run, ...)`` over a graph
+compiled for the predict's kind, whose output head emits the output.
 
 * ``raven_ext`` — ``sp_execute_external_script``: a fresh external
   Python runtime per query; data crosses the process boundary via
@@ -30,10 +31,11 @@ from pyspark.sql.types import DoubleType
 
 
 def raven_ext(
-    pdf: pd.DataFrame, model_path: str, featurizer, kind: str = "proba", classes=None,
+    pdf: pd.DataFrame, model_path: str, featurizer, kind: str = "proba",
 ) -> np.ndarray:
     """Out-of-process external-script run: fresh interpreter, data via
-    Parquet over the process boundary (the Fig. 3 "Raven Ext" bars)."""
+    Parquet over the process boundary (the Fig. 3 "Raven Ext" bars).
+    ``model_path`` holds a graph compiled for ``kind``."""
     with tempfile.TemporaryDirectory() as td:
         in_path = os.path.join(td, "in.parquet")
         out_path = os.path.join(td, "out.npy")
@@ -41,8 +43,7 @@ def raven_ext(
         pdf.to_parquet(in_path)
         with open(task_path, "wb") as f:
             pickle.dump(
-                {"model_path": model_path, "featurizer": featurizer,
-                 "kind": kind, "classes": classes}, f
+                {"model_path": model_path, "featurizer": featurizer, "kind": kind}, f
             )
         subprocess.run(
             [sys.executable, "-m", "repro.runtime.ext_worker",

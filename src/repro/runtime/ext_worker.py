@@ -22,8 +22,7 @@ def main(task_path: str, in_path: str, out_path: str) -> None:
         task = pickle.load(f)
     pdf = pd.read_parquet(in_path)
     sess = InferenceSession(task["model_path"])
-    np.save(out_path, graph_output(sess.run, task["featurizer"], pdf,
-                                   task["kind"], task["classes"]))
+    np.save(out_path, graph_output(sess.run, task["featurizer"], pdf, task["kind"]))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Paper methodology (§4): "Numbers are averages over multiple warm runs,
 and for each run we count the time it takes to load the model, perform
 the optimization, read the data, and perform inference over them."
-``measure`` mirrors that: warmup runs excluded, then the mean/median of
+``measure`` mirrors that: warmup runs excluded, then the median of
 timed runs; what each run *includes* (cold model load vs cached
 session) is decided by the executor being measured.
 """
@@ -27,18 +27,10 @@ class Timing:
     times: list[float] = field(default_factory=list)
 
     @property
-    def mean(self) -> float:
-        return sum(self.times) / len(self.times)
-
-    @property
     def median(self) -> float:
         s = sorted(self.times)
         n = len(s)
         return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
-
-    @property
-    def best(self) -> float:
-        return min(self.times)
 
 
 def measure(fn: Callable[[], object], warmup: int = 1, runs: int = 3) -> Timing:

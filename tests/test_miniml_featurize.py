@@ -142,23 +142,6 @@ class TestTableFeaturizer:
         assert new.encoders["city"].categories_ == ["NYC", "SFO"]
         np.testing.assert_array_equal(new.transform(df), f.transform(df)[:, keep])
 
-    def test_bind_categorical(self):
-        df = _df()
-        f = TableFeaturizer(numeric_cols=["age"], categorical_cols=["city"]).fit(df)
-        new, consts, keep = f.bind_categorical("city", "SEA")
-        assert consts == {"city=NYC": 0.0, "city=SEA": 1.0, "city=SFO": 0.0}
-        assert new.input_cols == ["age"]
-        # on rows where city==SEA, old transform == [new transform, consts]
-        sea = df[df.city == "SEA"]
-        old = f.transform(sea)
-        newX = new.transform(sea)
-        np.testing.assert_array_equal(old[:, keep], newX)
-
-    def test_bind_categorical_missing_col_raises(self):
-        f = TableFeaturizer(categorical_cols=["city"]).fit(_df())
-        with pytest.raises(KeyError):
-            f.bind_categorical("nope", "x")
-
     @pytest.mark.parametrize(
         "values, below, above",
         [

@@ -207,27 +207,28 @@ class TestPipelineToGraph:
 
     def test_tree_pipeline(self):
         pipe, df = self._pipe(DecisionTree(max_depth=4, min_samples_leaf=2))
-        g = pipeline_to_graph(pipe)
+        value = pipe.model.predict_value(pipe.featurizer.transform(df))
         feeds = pipe.featurizer.transform_codes(df)
-        np.testing.assert_allclose(
-            g.run(feeds)["value"], pipe.model.predict_value(pipe.featurizer.transform(df))
-        )
+        np.testing.assert_allclose(pipeline_to_graph(pipe, "proba").run(feeds)["proba"],
+                                   value[:, 1])
+        np.testing.assert_array_equal(pipeline_to_graph(pipe, "label").run(feeds)["label"],
+                                      pipe.predict(df))
 
     def test_forest_pipeline(self):
         pipe, df = self._pipe(RandomForest(n_trees=4, max_depth=3, seed=2))
-        g = pipeline_to_graph(pipe)
+        g = pipeline_to_graph(pipe, "proba")
         feeds = pipe.featurizer.transform_codes(df)
-        np.testing.assert_allclose(g.run(feeds)["value"], pipe.predict_proba(df))
+        np.testing.assert_allclose(g.run(feeds)["proba"], pipe.predict_proba(df)[:, 1])
 
     def test_logistic_pipeline(self):
         pipe, df = self._pipe(LogisticRegressionL1(alpha=0.001))
-        g = pipeline_to_graph(pipe)
+        g = pipeline_to_graph(pipe, "score")
         feeds = pipe.featurizer.transform_codes(df)
         np.testing.assert_allclose(g.run(feeds)["score"], pipe.decision_function(df))
 
     def test_mlp_pipeline(self):
         pipe, df = self._pipe(MLPClassifier(hidden=(8,), epochs=3, seed=1))
-        g = pipeline_to_graph(pipe)
+        g = pipeline_to_graph(pipe, "score")
         feeds = pipe.featurizer.transform_codes(df)
         np.testing.assert_allclose(g.run(feeds)["score"], pipe.decision_function(df))
 
@@ -235,43 +236,41 @@ class TestPipelineToGraph:
         from repro.onnxlite import InferenceSession, save_graph
 
         pipe, df = self._pipe(DecisionTree(max_depth=3, min_samples_leaf=2))
-        g = pipeline_to_graph(pipe)
-        p = save_graph(g, str(tmp_path / "pipe"))
-        sess = InferenceSession(p)
         feeds = pipe.featurizer.transform_codes(df)
-        np.testing.assert_allclose(
-            sess.run(feeds)["value"],
-            pipe.model.predict_value(pipe.featurizer.transform(df)),
-        )
+        for kind, want in [("proba", pipe.model.predict_value(pipe.featurizer.transform(df))[:, 1]),
+                           ("label", pipe.predict(df))]:
+            p = save_graph(pipeline_to_graph(pipe, kind), str(tmp_path / kind))
+            np.testing.assert_allclose(InferenceSession(p).run(feeds)[kind], want)
 
     def _translated(self, pipe, df):
         """``translate_predict``'s graph and its output for every kind,
-        on ``df`` with unseen and NULL categories, next to
-        ``pipeline_output``'s."""
+        one graph per kind, on ``df`` with unseen and NULL categories,
+        next to ``pipeline_output``'s."""
         q = df.copy()
         q.loc[::4, "dest"] = "ORD"  # not a training category: code -1
         q.loc[1::5, "carrier"] = None
         feeds = pipe.featurizer.transform_codes(q)
         assert (feeds["cat_dest"] == -1).sum() == len(q[::4])
         assert (feeds["cat_carrier"] == -1).sum() == len(q[1::5])
-        nn = translate_predict(MLPredict(Scan("t"), "m", pipe, "p"))
+        graphs = []
         for kind in ("label", "proba", "score"):
-            nn.kind = kind
+            nn = translate_predict(MLPredict(Scan("t"), "m", pipe, "p", kind=kind))
             np.testing.assert_allclose(nn.predict_pandas(q), pipeline_output(pipe, q, kind),
                                        rtol=0, atol=1e-12)
-        return nn.graph
+            graphs.append(nn.graph)
+        return graphs
 
     def test_embedding_bag_logistic_pipeline(self):
         pipe, df = self._pipe(LogisticRegressionL1(alpha=0.001))
-        g = self._translated(pipe, df)
-        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in g.nodes)
-        assert [n.op_type for n in g.nodes].count("Gather") == 2
+        for g in self._translated(pipe, df):
+            assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in g.nodes)
+            assert [n.op_type for n in g.nodes].count("Gather") == 2
 
     def test_embedding_bag_mlp_gemm_pipeline(self):
         pipe, df = self._pipe(MLPClassifier(hidden=(8, 4), epochs=3, seed=1))
-        g = self._translated(pipe, df)
-        assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in g.nodes)
-        assert [n.op_type for n in g.nodes].count("Gemm") == 2
+        for g in self._translated(pipe, df):
+            assert {"OneHot", "Concat"}.isdisjoint(n.op_type for n in g.nodes)
+            assert [n.op_type for n in g.nodes].count("Gemm") == 2
 
     def test_embedding_bag_flights_lr_graph(self):
         from repro.datasets import flights
@@ -291,8 +290,8 @@ class TestPipelineToGraph:
     def test_emitted_ops_are_the_kernels(self):
         """onnxlite has a kernel for exactly the ops that the converters
         and the graph passes emit: a tree, a forest, a linear model, an
-        MLP, scaled + one-hot pipelines of the last three, and a
-        numeric-only pipeline."""
+        MLP, scaled + one-hot pipelines of the last three for every kind
+        each has, and a numeric-only pipeline."""
         from repro.onnxlite.ops import KERNELS
 
         X, y = _data()
@@ -302,12 +301,14 @@ class TestPipelineToGraph:
             linear_to_graph(LogisticRegressionL1(alpha=0.01).fit(X, y)),
             mlp_to_graph(MLPClassifier(hidden=(4,), epochs=1).fit(X, y)),
         ]
-        for model in (RandomForest(n_trees=3, max_depth=3), LogisticRegressionL1(alpha=0.001),
-                      MLPClassifier(hidden=(4,), epochs=1)):
-            graphs.append(pipeline_to_graph(self._pipe(model)[0]))
+        for model, kinds in [(RandomForest(n_trees=3, max_depth=3), ("label", "proba")),
+                             (LogisticRegressionL1(alpha=0.001), ("label", "proba", "score")),
+                             (MLPClassifier(hidden=(4,), epochs=1), ("label", "proba", "score"))]:
+            pipe = self._pipe(model)[0]
+            graphs.extend(pipeline_to_graph(pipe, kind) for kind in kinds)
         df = _mixed_df()
         numeric = Pipeline(TableFeaturizer(numeric_cols=["age", "bp"]), DecisionTree(max_depth=3))
-        graphs.append(pipeline_to_graph(numeric.fit(df, (df["age"] > 50).to_numpy(int))))
+        graphs.append(pipeline_to_graph(numeric.fit(df, (df["age"] > 50).to_numpy(int)), "proba"))
         emitted = {n.op_type for g in graphs for h in (g, optimize(g)) for n in h.nodes}
         assert emitted == set(KERNELS)
 
@@ -318,4 +319,4 @@ class TestPipelineToGraph:
 
         pipe = Pipeline(TableFeaturizer(numeric_cols=["age"]), KMeans())
         with pytest.raises(TypeError):
-            pipeline_to_graph(pipe)
+            pipeline_to_graph(pipe, "label")
