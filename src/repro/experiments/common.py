@@ -1,5 +1,5 @@
-"""Shared experiment utilities: timing, table formatting, and trained
-model caches (so benchmarks don't retrain per test)."""
+"""Shared experiment utilities: table formatting and trained model
+caches (so benchmarks don't retrain per test)."""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -13,10 +13,12 @@ from repro.miniml import (
     RandomForest,
     TableFeaturizer,
 )
+from repro.runtime.timing import Timing
 
 
 def fmt_table(rows: list[dict], cols: list[str] | None = None) -> str:
-    """Render rows as a GitHub-markdown table."""
+    """Render rows as a GitHub-markdown table; a ``Timing`` cell reads
+    ``median (q1–q3)``."""
     if not rows:
         return "(no rows)"
     cols = cols or list(rows[0].keys())
@@ -24,6 +26,9 @@ def fmt_table(rows: list[dict], cols: list[str] | None = None) -> str:
     def cell(v):
         if isinstance(v, float):
             return f"{v:.4g}"
+        if isinstance(v, Timing):
+            q1, q3 = v.quartiles
+            return f"{v.median:.4g} ({q1:.4g}–{q3:.4g})"
         return str(v)
 
     out = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]

@@ -57,24 +57,19 @@ def run(spark, n_infer: int = 300_000, n_train: int = 20_000, seed: int = 0,
     def spark_run(plan):
         return lambda: force(to_dataframe(plan, spark, tables))
 
-    rows = []
-    t_ext = measure(external, warmup=1, runs=runs)
-    rows.append({"variant": "external (miniml reading from DB)", "rows": n_infer,
-                 "time_s": t_ext.median, "speedup_vs_external": 1.0})
-    t_inl = measure(spark_run(plans["inlined"]), warmup=1, runs=runs)
-    rows.append({"variant": "inlined SQL (Raven)", "rows": n_infer,
-                 "time_s": t_inl.median,
-                 "speedup_vs_external": t_ext.median / t_inl.median})
-    t_extf = measure(external_filtered, warmup=1, runs=runs)
-    rows.append({"variant": "external, WHERE pregnant=1", "rows": n_infer,
-                 "time_s": t_extf.median, "speedup_vs_external": 1.0})
-    t_inlf = measure(spark_run(plans["inlined_filtered"]), warmup=1, runs=runs)
-    rows.append({"variant": "inlined SQL, filtered (no pruning)", "rows": n_infer,
-                 "time_s": t_inlf.median,
-                 "speedup_vs_external": t_extf.median / t_inlf.median})
-    t_inlp = measure(spark_run(plans["inlined+pruned"]), warmup=1, runs=runs)
-    rows.append({"variant": "inlined+pruned SQL (Raven)", "rows": n_infer,
-                 "time_s": t_inlp.median,
-                 "speedup_vs_external": t_extf.median / t_inlp.median})
+    t_ext, t_inl, t_extf, t_inlf, t_inlp = measure(
+        [external, spark_run(plans["inlined"]), external_filtered,
+         spark_run(plans["inlined_filtered"]), spark_run(plans["inlined+pruned"])], runs)
     sdf.unpersist()
-    return rows
+    return [
+        {"variant": "external (miniml reading from DB)", "rows": n_infer,
+         "time_s": t_ext, "speedup_vs_external": 1.0},
+        {"variant": "inlined SQL (Raven)", "rows": n_infer, "time_s": t_inl,
+         "speedup_vs_external": t_ext.median / t_inl.median},
+        {"variant": "external, WHERE pregnant=1", "rows": n_infer,
+         "time_s": t_extf, "speedup_vs_external": 1.0},
+        {"variant": "inlined SQL, filtered (no pruning)", "rows": n_infer, "time_s": t_inlf,
+         "speedup_vs_external": t_extf.median / t_inlf.median},
+        {"variant": "inlined+pruned SQL (Raven)", "rows": n_infer, "time_s": t_inlp,
+         "speedup_vs_external": t_extf.median / t_inlp.median},
+    ]

@@ -99,26 +99,15 @@ def run(spark, store_root: str, sizes: list[int] | None = None,
 
             out_df = raven_predict(spark, sdf, model_name, pipe)
 
-            def raven():
-                force(out_df)
-
-            t_ort = measure(ort, warmup=1, runs=runs)
-            t_ort_warm = measure(ort_warm, warmup=1, runs=runs)
-            t_raven = measure(raven, warmup=1, runs=runs)
-            row = {
-                "model": model_name, "rows": n,
-                "ort_s": t_ort.median, "ort_warm_s": t_ort_warm.median,
-                "raven_s": t_raven.median,
-                "raven_vs_ort": t_ort.median / t_raven.median,
-            }
+            forms = [ort, ort_warm, lambda: force(out_df)]
             if n <= EXT_CAP:
-                t_ext = measure(
-                    lambda: raven_ext(pdf, path, pipe.featurizer, kind="proba"),
-                    warmup=1, runs=max(1, runs - 1),
-                )
-                row["raven_ext_s"] = t_ext.median
-            else:
-                row["raven_ext_s"] = None
-            rows.append(row)
+                forms.append(lambda: raven_ext(pdf, path, pipe.featurizer, kind="proba"))
+            t_ort, t_ort_warm, t_raven, *t_ext = measure(forms, runs)
+            rows.append({
+                "model": model_name, "rows": n,
+                "ort_s": t_ort, "ort_warm_s": t_ort_warm, "raven_s": t_raven,
+                "raven_vs_ort": t_ort.median / t_raven.median,
+                "raven_ext_s": t_ext[0] if t_ext else None,
+            })
             sdf.unpersist()
     return rows

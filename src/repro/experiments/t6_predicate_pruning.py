@@ -12,8 +12,6 @@ number of features dropped, not the rows removed.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datasets import flights, hospital
 from repro.experiments.common import flights_lr_pipeline, hospital_tree_pipeline
 from repro.ir import Constraint
@@ -32,8 +30,8 @@ def run_tree(n_infer: int = 1_000_000, n_train: int = 20_000, seed: int = 0,
     # sides and orthogonal to tree pruning)
     X_full = pipe.featurizer.transform(data)
     X_pruned = pruned.featurizer.transform(data)
-    t_full = measure(lambda: pipe.model.predict(X_full), warmup=2, runs=runs)
-    t_pruned = measure(lambda: pruned.model.predict(X_pruned), warmup=2, runs=runs)
+    t_full, t_pruned = measure([lambda: pipe.model.predict(X_full),
+                                lambda: pruned.model.predict(X_pruned)], runs)
     return [
         {
             "predicate": "pregnant = 1",
@@ -42,8 +40,8 @@ def run_tree(n_infer: int = 1_000_000, n_train: int = 20_000, seed: int = 0,
             "nodes_after": pruned.model.n_nodes,
             "depth_before": pipe.model.depth,
             "depth_after": pruned.model.depth,
-            "full_s": t_full.median,
-            "pruned_s": t_pruned.median,
+            "full_s": t_full,
+            "pruned_s": t_pruned,
             "improvement_pct": 100 * (1 - t_pruned.median / t_full.median),
         }
     ]
@@ -61,16 +59,16 @@ def run_categorical(n_infer: int = 1_000_000, n_train: int = 50_000, seed: int =
         if len(sub) == 0:
             continue
         folded, changed = prune_pipeline(pipe, {"dest": Constraint(eq=dest)})
-        t_full = measure(lambda: pipe.predict_proba(sub)[:, 1], warmup=1, runs=runs)
-        t_fold = measure(lambda: folded.predict_proba(sub)[:, 1], warmup=1, runs=runs)
+        t_full, t_fold = measure([lambda: pipe.predict_proba(sub)[:, 1],
+                                  lambda: folded.predict_proba(sub)[:, 1]], runs)
         rows.append(
             {
                 "filter": f"dest = '{dest}'",
                 "selectivity_pct": 100 * len(sub) / len(data),
                 "features_before": pipe.featurizer.n_features,
                 "features_after": folded.featurizer.n_features,
-                "full_s": t_full.median,
-                "pruned_s": t_fold.median,
+                "full_s": t_full,
+                "pruned_s": t_fold,
                 "speedup": t_full.median / t_fold.median,
             }
         )

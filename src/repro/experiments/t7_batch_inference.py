@@ -26,12 +26,11 @@ def run(spark, n_infer: int = 50_000, n_train: int = 20_000, seed: int = 0,
 
     per_tuple_df = per_tuple_predict(sdf, pipe, "pred")
     batch_df = map_in_pandas(MLPredict(Scan("joined"), "los", pipe, "pred"), sdf)
-    t_tuple = measure(lambda: force(per_tuple_df), warmup=1, runs=runs)
-    t_batch = measure(lambda: force(batch_df), warmup=1, runs=runs)
+    t_tuple, t_batch = measure([lambda: force(per_tuple_df), lambda: force(batch_df)], runs)
     sdf.unpersist()
     return [
-        {"variant": "per-tuple UDF", "rows": n_infer, "time_s": t_tuple.median,
+        {"variant": "per-tuple UDF", "rows": n_infer, "time_s": t_tuple,
          "speedup_vs_per_tuple": 1.0},
-        {"variant": "batched mapInPandas", "rows": n_infer, "time_s": t_batch.median,
+        {"variant": "batched mapInPandas", "rows": n_infer, "time_s": t_batch,
          "speedup_vs_per_tuple": t_tuple.median / t_batch.median},
     ]

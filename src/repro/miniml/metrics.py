@@ -32,9 +32,3 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     return float(np.mean(y_true == y_pred))
-
-
-def log_loss(y_true: np.ndarray, p1: np.ndarray, eps: float = 1e-12) -> float:
-    y = np.asarray(y_true, dtype=np.float64)
-    p = np.clip(np.asarray(p1, dtype=np.float64), eps, 1 - eps)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))

@@ -162,10 +162,6 @@ class DecisionTree:
         return len(self.feature)
 
     @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature == LEAF))
-
-    @property
     def depth(self) -> int:
         def d(i: int) -> int:
             if self.feature[i] == LEAF:

@@ -34,10 +34,6 @@ class InferenceSession:
             g = load_graph(path_or_graph)
         self.graph = optimize(g)
 
-    @property
-    def input_names(self) -> list[str]:
-        return list(self.graph.inputs)
-
     def run(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         return self.graph.run(feeds)
 

@@ -20,7 +20,8 @@ it.
   block becomes one map lookup, ``coalesce(element_at(map_from_arrays(
   keys, weights), col), 0)``: an unseen or NULL category gathers 0, as
   the one-hot encoder's all-zero row does. A NULL numeric makes the
-  score NULL, which is what the pipeline's NaN score comes back as.
+  score NULL, which is what the pipeline's NaN score comes back as. A
+  NaN score, or a NULL one, labels 0.
 
 This is the paper's SQL Server UDF-inlining path (Froid [32]): we skip
 the intermediate UDF and emit the inlined scalar expression directly —
@@ -138,7 +139,10 @@ def linear_to_sql(model, feat, kind: str = "score") -> str:
     if kind == "proba":
         return f"(1.0E0 / (1.0E0 + EXP(-{score})))"
     if kind == "label":
-        return f"(CASE WHEN {score} > 0.0E0 THEN 1.0E0 ELSE 0.0E0 END)"
+        # Spark and DuckDB order NaN above every number, so ``score > 0``
+        # would label a NaN score 1; ``-score < 0`` labels it 0, as the
+        # pipeline's ``NaN > 0`` does
+        return f"(CASE WHEN -{score} < 0.0E0 THEN 1.0E0 ELSE 0.0E0 END)"
     raise ValueError(f"bad kind {kind!r}")
 
 

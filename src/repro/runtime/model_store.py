@@ -1,9 +1,9 @@
 """Model store: models live *in the database* (§1–2).
 
-A directory-backed catalog holding versioned model artifacts: pickled
-miniml pipelines (the MLflow-style "model pipeline" with its
-featurizer) and serialized onnxlite graphs. Deploying a new version is
-an atomic catalog update — the repro stand-in for the paper's
+A directory-backed catalog holding versioned serialized onnxlite
+graphs, each a whole pipeline with its featurizer compiled to one graph
+(``onnxlite.convert.pipeline_to_graph``). Deploying a new version is an
+atomic catalog update — the repro stand-in for the paper's
 transactional model updates.
 
 Raven's own PREDICT does not load from the store at run time: the
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import tempfile
 import time
 
@@ -44,52 +43,23 @@ class ModelStore:
             json.dump(cat, f, indent=1)
         os.replace(tmp, self._catalog_path)
 
-    def _register(self, name: str, kind: str, path: str) -> int:
-        cat = self._read_catalog()
-        entry = cat.get(name, {"versions": []})
-        version = len(entry["versions"]) + 1
-        entry["versions"].append(
-            {"version": version, "kind": kind, "path": path, "created_at": time.time()}
-        )
-        entry["kind"] = kind
-        cat[name] = entry
-        self._write_catalog(cat)
-        return version
-
-    def _entry(self, name: str) -> dict:
-        cat = self._read_catalog()
-        if name not in cat:
-            raise KeyError(f"no such model {name!r}")
-        return cat[name]["versions"][-1]
-
-    # ------------------------------------------------------- pipelines
-    def save_pipeline(self, name: str, pipeline) -> str:
-        path = os.path.join(self.root, name, f"v{len(self.versions(name)) + 1}.pkl")
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as f:
-            pickle.dump(pipeline, f)
-        self._register(name, "pipeline", path)
-        return path
-
-    def load_pipeline(self, name: str):
-        e = self._entry(name)
-        if e["kind"] != "pipeline":
-            raise TypeError(f"{name!r} is a {e['kind']}, not a pipeline")
-        with open(e["path"], "rb") as f:
-            return pickle.load(f)
-
     # ---------------------------------------------------------- graphs
     def save_graph_model(self, name: str, graph: Graph) -> str:
         path = os.path.join(self.root, name, f"v{len(self.versions(name)) + 1}")
         save_graph(graph, path)
-        self._register(name, "graph", path)
+        cat = self._read_catalog()
+        versions = cat.setdefault(name, {"versions": []})["versions"]
+        versions.append({"version": len(versions) + 1, "path": path, "created_at": time.time()})
+        self._write_catalog(cat)
         return path
 
     def graph_path(self, name: str) -> str:
-        e = self._entry(name)
-        if e["kind"] != "graph":
-            raise TypeError(f"{name!r} is a {e['kind']}, not a graph")
-        return e["path"]
+        """The latest version's directory. Raises KeyError for an
+        unknown model."""
+        cat = self._read_catalog()
+        if name not in cat:
+            raise KeyError(f"no such model {name!r}")
+        return cat[name]["versions"][-1]["path"]
 
     def versions(self, name: str) -> list[dict]:
         cat = self._read_catalog()

@@ -10,7 +10,7 @@ from repro.miniml import (
     RandomForest,
 )
 from repro.miniml.linear import sigmoid
-from repro.miniml.metrics import accuracy, auc, log_loss
+from repro.miniml.metrics import accuracy, auc
 from repro.miniml.tree import LEAF
 
 
@@ -219,9 +219,3 @@ class TestMetrics:
 
     def test_accuracy(self):
         assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
-
-    def test_log_loss_confident_correct_small(self):
-        assert log_loss([1, 0], [0.99, 0.01]) < 0.05
-
-    def test_log_loss_clips(self):
-        assert np.isfinite(log_loss([1], [0.0]))

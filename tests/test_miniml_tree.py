@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.miniml import DecisionTree
+from repro.miniml.tree import LEAF
 
 
 def _xor_data(n=400, seed=0):
@@ -112,9 +113,9 @@ class TestStructure:
     def test_node_counts_consistent(self):
         X, y = _xor_data(400)
         t = DecisionTree(max_depth=5, min_samples_leaf=5).fit(X, y)
-        n_internal = t.n_nodes - t.n_leaves
+        n_leaves = int(np.sum(t.feature == LEAF))
         # binary tree: leaves = internal + 1
-        assert t.n_leaves == n_internal + 1
+        assert n_leaves == t.n_nodes - n_leaves + 1
 
     def test_values_on_internal_nodes(self):
         X, y = _xor_data(400)

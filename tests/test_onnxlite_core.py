@@ -234,7 +234,6 @@ class TestSerializeAndSession:
     def test_session_runs(self, tmp_path):
         p = save_graph(_affine_graph(), str(tmp_path / "m"))
         sess = InferenceSession(p)
-        assert sess.input_names == ["X"]
         out = sess.run({"X": np.array([[1.0, 0.0]])})
         np.testing.assert_allclose(out["y"], [[1.5]])
 

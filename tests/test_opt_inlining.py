@@ -445,6 +445,28 @@ class TestNullAndUnseenOnSpark:
         assert linear_to_sql(pipe.model, pipe.featurizer).count("element_at") == 2
         self._check(spark, pipe, kind, score)
 
+    @pytest.mark.parametrize("kind", ["score", "proba", "label"])
+    def test_logistic_nan_numeric(self, spark, data, kind):
+        """A NaN (not NULL) score labels 0, as ``NaN > 0`` does in the
+        pipeline, although Spark orders NaN above every number. Arrow
+        turns pandas NaN into NULL, so the NaNs are made in Spark."""
+        from pyspark.sql import functions as F
+
+        train, y, score = data
+        pipe = Pipeline(
+            TableFeaturizer(numeric_cols=["age", "bp"], categorical_cols=["ward"]),
+            LogisticRegressionL1(alpha=1e-4, max_iter=300),
+        ).fit(train, y)
+        score = score.assign(_row=np.arange(len(score)))
+        nan_rows = score["_row"] % 4 == 0
+        sdf = spark.createDataFrame(score).withColumn(
+            "bp", F.when(F.col("_row") % 4 == 0, F.lit(float("nan"))).otherwise(F.col("bp")))
+        out = to_dataframe(MLPredict(Scan("t"), "m", pipe, "p", kind=kind), spark, {"t": sdf})
+        got = out.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
+        with_nan = score.assign(bp=score["bp"].mask(nan_rows))
+        assert np.isnan(pipeline_output(pipe, with_nan, "score")[nan_rows]).all()
+        np.testing.assert_allclose(got, pipeline_output(pipe, with_nan, kind), rtol=0, atol=1e-12)
+
     def test_linear_regression(self, spark, data):
         train, _, score = data
         pipe = Pipeline(

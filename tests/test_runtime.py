@@ -1,4 +1,6 @@
 """Runtime tests: codegen on Spark, model store, execution modes."""
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -20,6 +22,7 @@ from repro.oracle import assert_equivalent
 from repro.runtime import ModelStore, force, measure, to_dataframe
 from repro.runtime.codegen import _predict_dataframe, _predict_map_fn
 from repro.runtime.executors import per_tuple_predict, raven_ext
+from repro.runtime.timing import MIN_RUN_S
 
 
 @pytest.fixture(scope="module")
@@ -189,27 +192,61 @@ class TestCodegen:
         df = spark.createDataFrame(hosp_small)
         force(df)  # must not raise
 
-    def test_measure_warmup_and_runs(self):
+    def test_measure_alternates_forms_within_a_round(self):
+        """Forms of 50 ms or more loop once: one warm-up round, then
+        ``runs`` rounds, each calling every form in turn."""
         calls = []
-        t = measure(lambda: calls.append(1), warmup=2, runs=3)
-        assert len(calls) == 5
+
+        def form(name):
+            return lambda: (calls.append(name), time.sleep(MIN_RUN_S))
+
+        a, b = measure([form("a"), form("b")], runs=3)
+        assert calls == ["a", "b"] * 4
+        assert len(a.times) == len(b.times) == 3
+        assert a.median >= MIN_RUN_S
+
+    def test_measure_does_not_time_the_warmup(self):
+        calls = []
+
+        def slow_first():
+            time.sleep(0.3 if not calls else MIN_RUN_S)
+            calls.append(1)
+
+        (t,) = measure([slow_first], runs=2)
+        assert len(calls) == 3
+        assert len(t.times) == 2
+        assert max(t.times) < 0.3
+        q1, q3 = t.quartiles
+        assert min(t.times) <= q1 <= t.median <= q3 <= max(t.times)
+
+    def test_measure_loops_short_calls_per_call_times(self):
+        calls = []
+
+        def short():
+            calls.append(1)
+            time.sleep(0.001)
+
+        (t,) = measure([short], runs=3)
+        loop = (len(calls) - 1) // 3
+        assert loop > 1 and len(calls) == 1 + 3 * loop
         assert len(t.times) == 3
-        assert t.median >= 0
+        assert all(0.001 <= s < MIN_RUN_S for s in t.times)
+
+    def test_one_run_quartiles_are_the_median(self):
+        (t,) = measure([lambda: None], runs=1)
+        assert len(t.times) == 1
+        assert t.quartiles == (t.median, t.median)
 
 
 class TestModelStore:
-    def test_pipeline_roundtrip(self, tmp_path, tree_pipe, hosp_small):
-        store = ModelStore(str(tmp_path / "store"))
-        store.save_pipeline("los", tree_pipe)
-        loaded = store.load_pipeline("los")
-        np.testing.assert_array_equal(loaded.predict(hosp_small), tree_pipe.predict(hosp_small))
-
     def test_versioning(self, tmp_path, tree_pipe):
         store = ModelStore(str(tmp_path / "store"))
-        store.save_pipeline("m", tree_pipe)
-        store.save_pipeline("m", tree_pipe)
+        g = pipeline_to_graph(tree_pipe, "label")
+        store.save_graph_model("m", g)
+        second = store.save_graph_model("m", g)
         assert len(store.versions("m")) == 2
         assert store.versions("m")[-1]["version"] == 2
+        assert store.graph_path("m") == second
 
     def test_graph_model(self, tmp_path, tree_pipe, hosp_small):
         store = ModelStore(str(tmp_path / "store"))
@@ -222,13 +259,7 @@ class TestModelStore:
     def test_missing_model_raises(self, tmp_path):
         store = ModelStore(str(tmp_path / "store"))
         with pytest.raises(KeyError):
-            store.load_pipeline("ghost")
-
-    def test_kind_mismatch_raises(self, tmp_path, tree_pipe):
-        store = ModelStore(str(tmp_path / "store"))
-        store.save_pipeline("m", tree_pipe)
-        with pytest.raises(TypeError):
-            store.graph_path("m")
+            store.graph_path("ghost")
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,12 @@ SQL on Spark.
 
 Spark runs on ``local[4]`` with a 2 GB driver, as ``perfbench`` does.
 Each input table is cached in 8 partitions. The forms of one model are
-run in turn, one ``force`` run of each form per round: one warm-up
-round, then ``--runs`` timed rounds, so drift over the rounds falls on
-every form alike. Each form's ``_s`` column is the median of its runs
-and its ``Q1–Q3`` column the first and third quartile. "python" is
+timed in turn by ``runtime.timing.measure``: one warm-up round, then
+``--runs`` timed rounds of one ``force`` of each form, so drift over the
+rounds falls on every form alike. Each form's ``_s`` column reads the
+median of its runs and, in brackets, the first and third quartile. A
+form sets its huge-method limit before its ``force``, inside the timed
+call; that takes well under a millisecond. "python" is
 ``codegen.map_in_pandas``: one wave of Python tasks, the form codegen
 gives a predict with no SQL form. "graph" is the same wave scoring the
 model's onnxlite graph (``nn_translate.translate_predict``); it is
@@ -50,9 +52,7 @@ from __future__ import annotations
 import argparse
 import copy
 import os
-import statistics
 import sys
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARTITIONS = 8
@@ -117,31 +117,6 @@ def sub_forest(pipe, k: int):
     return Pipeline(pipe.featurizer, forest)
 
 
-def alternating_times(spark, timed: dict, runs: int) -> dict:
-    """``timed``: form name → (DataFrame, huge-method limit to set or
-    None). One warm-up round, then ``runs`` rounds of one ``force`` of
-    each form in turn. Returns ``<form>_s``, the median, and ``<form>
-    Q1–Q3`` per form."""
-    from repro.raven import HUGE_METHOD_LIMIT
-    from repro.runtime.timing import force
-
-    times: dict[str, list[float]] = {name: [] for name in timed}
-    for r in range(runs + 1):
-        for name, (df, limit) in timed.items():
-            if limit is not None:
-                spark.conf.set(HUGE_METHOD_LIMIT, limit)
-            t0 = time.perf_counter()
-            force(df)
-            if r:
-                times[name].append(time.perf_counter() - t0)
-    out = {}
-    for name, ts in times.items():
-        q1, _, q3 = statistics.quantiles(ts, n=4)
-        out[f"{name}_s"] = statistics.median(ts)
-        out[f"{name} Q1–Q3"] = f"{q1:.3g}–{q3:.3g}"
-    return out
-
-
 def probe(spark, forms, runs: int) -> list[dict]:
     """``forms``: (name, cached table, pandas twin, pipeline, kind, SQL
     or None for a model with no SQL form, whether to time the graph)."""
@@ -157,14 +132,22 @@ def probe(spark, forms, runs: int) -> list[dict]:
         SPARK_DEFAULT_HUGE_METHOD_LIMIT,
     )
     from repro.runtime.codegen import map_in_pandas
+    from repro.runtime.timing import force, measure
+
+    def forced(df, limit=None):
+        def run():
+            if limit is not None:
+                spark.conf.set(HUGE_METHOD_LIMIT, limit)
+            force(df)
+        return run
 
     rows = []
     for name, sdf, pdf, pipe, kind, sql, graph in forms:
         node = MLPredict(Scan("t"), name, pipe, "p", kind=kind)
         row = {"form": name}
-        timed = {"python": (map_in_pandas(node, sdf), None)}
+        timed = {"python": forced(map_in_pandas(node, sdf))}
         if graph:
-            timed["graph"] = (map_in_pandas(translate_predict(node), sdf), None)
+            timed["graph"] = forced(map_in_pandas(translate_predict(node), sdf))
         if sql is None:
             got = translate_predict(node).predict_pandas(pdf)
         else:
@@ -172,9 +155,10 @@ def probe(spark, forms, runs: int) -> list[dict]:
             spark.conf.set(HUGE_METHOD_LIMIT, JIT_HUGE_METHOD_LIMIT)
             got = inlined.orderBy("_row").toPandas()["p"].to_numpy(dtype=np.float64)
             row.update({"CASE nodes": sql.count("CASE WHEN"), "maps": sql.count("element_at")})
-            timed["inlined"] = (inlined, JIT_HUGE_METHOD_LIMIT)
-            timed["inlined_default"] = (inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT)
-        row.update(alternating_times(spark, timed, runs))
+            timed["inlined"] = forced(inlined, JIT_HUGE_METHOD_LIMIT)
+            timed["inlined_default"] = forced(inlined, SPARK_DEFAULT_HUGE_METHOD_LIMIT)
+        for form, t in zip(timed, measure(list(timed.values()), runs)):
+            row[f"{form}_s"] = t
         row["max_abs_diff"] = float(np.max(np.abs(got - pipeline_output(pipe, pdf, kind))))
         rows.append(row)
         print(rows[-1], file=sys.stderr, flush=True)
@@ -251,9 +235,8 @@ def main(argv=None) -> None:
     print(f"(flights LR: {n_weights} nonzero one-hot weights; inlined_s at "
           "hugeMethodLimit 8000, inlined_default_s at 65535)\n")
     print(fmt_table(probe(spark, forms, args.runs),
-                    ["form", "CASE nodes", "maps", "python_s", "python Q1–Q3", "graph_s",
-                     "graph Q1–Q3", "inlined_s", "inlined Q1–Q3", "inlined_default_s",
-                     "inlined_default Q1–Q3", "max_abs_diff"]))
+                    ["form", "CASE nodes", "maps", "python_s", "graph_s", "inlined_s",
+                     "inlined_default_s", "max_abs_diff"]))
     spark.stop()
 
 
